@@ -6,7 +6,7 @@ Subcommands:
   basic         single-manufacturer reputation curves over an (m, p) grid
   end-to-end    full supply-chain run with per-consortium aggregation
   attack        benign / malicious / sleeper comparison curves
-  replay        re-apply an exported event stream without regeneration
+  replay        re-apply a ledger log without regeneration
   score         query one entity's reputation off a ledger log
   verify-oracle check a ledger log against the brute-force recompute
 
@@ -33,7 +33,6 @@ from .harness import (
     ORACLE_TOLERANCE,
     TRUSTED_DEFECT_PROB,
     UNTRUSTED_DEFECT_PROB,
-    TracingEngine,
     oracle_max_deviation,
     run_attack,
     run_basic,
@@ -44,15 +43,7 @@ from .harness import (
 )
 from .ledger import Ledger, load_log_records
 from .reputation import ObserverView, ReputationEngine, ReputationParams, normalized_score
-from .simulator import (
-    SimConfig,
-    assign_behaviors,
-    build_topology,
-    generate_stream,
-    load_events,
-    replay,
-    save_events,
-)
+from .simulator import SimConfig, assign_behaviors, build_topology, generate_stream, replay
 
 
 def load_config(path: str | None, seed: int | None) -> tuple[SimConfig, dict, ReputationParams]:
@@ -124,13 +115,13 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     topology = build_topology(cfg)
     behaviors = build_behaviors(topology, cfg, behavior_spec)
-    events_path = out / "events.ndjson"
-    save_events(generate_stream(topology, cfg, behaviors), events_path)
-    engine = TracingEngine(topology.view, params)
-    result = replay(load_events(events_path), engines=[engine], sample_stride=args.stride)
+    engine = ReputationEngine(topology.view, params)
+    result = replay(
+        generate_stream(topology, cfg, behaviors), engines=[engine], sample_stride=args.stride
+    )
     result.ledger.save_log(out / "ledger.ndjson")
     write_scores_csv(out / "scores.csv", engine, {"seed": cfg.rng_seed, "n": cfg.n_transactions})
-    write_traces(out / "penalties.ndjson", engine.traces)
+    write_traces(out / "penalties.ndjson", result.traces)
     sim_manifest = {
         k: v
         for k, v in dataclasses.asdict(cfg).items()
@@ -204,31 +195,29 @@ def cmd_attack(args) -> int:
     return 0
 
 
-def cmd_replay(args) -> int:
-    # Chain declarations lead the stream; scan them first to build the view.
-    chains = []
-    for ev in load_events(args.events):
-        if ev["ev"] != "chain":
-            break
-        chains.append(ev["id"])
-    view = view_from_flags(args, chains or ["main"])
-    engine = ReputationEngine(view, params_from_flags(args))
-    result = replay(load_events(args.events), engines=[engine], sample_stride=args.stride)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    result.ledger.save_log(out / "ledger.ndjson")
-    write_scores_csv(out / "scores.csv", engine, {"events": str(args.events)})
-    print(f"replayed {result.txn_count} transactions -> {out}")
-    return 0
-
-
-def _engine_from_log(args) -> tuple[ReputationEngine, list[tuple]]:
+def _log_and_engine(args) -> tuple[list[tuple], ReputationEngine]:
+    """The records of ``--log`` and a fresh engine for the flagged view."""
     records = load_log_records(args.log)
     chains = [rec[1] for rec in records if rec[0] == "chain"]
     view = view_from_flags(args, chains or ["main"])
-    engine = ReputationEngine(view, params_from_flags(args))
-    Ledger.replay(records, observers=[engine])
+    return records, ReputationEngine(view, params_from_flags(args))
+
+
+def _engine_from_log(args) -> tuple[ReputationEngine, list[tuple]]:
+    records, engine = _log_and_engine(args)
+    Ledger.replay(records, observers=[engine])  # the ledger itself is not kept
     return engine, records
+
+
+def cmd_replay(args) -> int:
+    records, engine = _log_and_engine(args)
+    ledger = Ledger.replay(records, observers=[engine])
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    ledger.save_log(out / "ledger.ndjson")
+    write_scores_csv(out / "scores.csv", engine, {"log": str(args.log)})
+    print(f"replayed {len(records)} records -> {out}")
+    return 0
 
 
 def cmd_score(args) -> int:
@@ -307,10 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=float, default=ATTACK_DECREASE_RATE)
     p.set_defaults(func=cmd_attack)
 
-    p = sub.add_parser("replay", help="re-apply an exported event stream")
-    p.add_argument("--events", required=True, help="events.ndjson from simulate")
+    p = sub.add_parser("replay", help="re-apply a ledger log")
+    p.add_argument("--log", required=True, help="ledger.ndjson")
     p.add_argument("--out", required=True)
-    p.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
     _add_view_flags(p)
     p.set_defaults(func=cmd_replay)
 

@@ -8,6 +8,8 @@ digest is stored, serialized as 64-char lower-case hex.
 from __future__ import annotations
 
 import hashlib
+import math
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
@@ -58,8 +60,8 @@ class Money:
     currency: str = STANDARD_CURRENCY
 
     def __post_init__(self) -> None:
-        if self.amount < 0:
-            raise InvalidArgument(f"money amount must be >= 0, got {self.amount}")
+        if not math.isfinite(self.amount) or self.amount < 0:
+            raise InvalidArgument(f"money amount must be finite and >= 0, got {self.amount}")
         if not self.currency:
             raise InvalidArgument("currency code must be non-empty")
 
@@ -68,7 +70,8 @@ class Money:
 class ExchangeTable:
     """Conversion rates from arbitrary currency codes into the standard currency.
 
-    The standard currency always has rate 1; all rates must be positive.
+    The standard currency always has rate 1; all rates must be finite and
+    positive.
     Currency codes are case-sensitive ASCII.
     """
 
@@ -81,8 +84,8 @@ class ExchangeTable:
         if std_rate != 1.0:
             raise InvalidArgument(f"standard currency {self.standard!r} must have rate 1")
         for code, rate in rates.items():
-            if rate <= 0:
-                raise InvalidArgument(f"exchange rate for {code!r} must be positive")
+            if not math.isfinite(rate) or rate <= 0:
+                raise InvalidArgument(f"exchange rate for {code!r} must be finite and positive")
         object.__setattr__(self, "rates", rates)
 
     def rate(self, currency: str) -> float:
@@ -107,11 +110,12 @@ def hash_device_id(raw: str | bytes) -> HashedDeviceId:
     return hashlib.sha256(data).hexdigest()
 
 
+_HASHED_ID = re.compile("[0-9a-f]{64}")
+
+
 def is_hashed_id(value: str) -> bool:
     """True if ``value`` is a well-formed 64-char lower-case hex digest."""
-    if len(value) != 64:
-        return False
-    return all(c in "0123456789abcdef" for c in value)
+    return isinstance(value, str) and _HASHED_ID.fullmatch(value) is not None
 
 
 def cur_convert(money: Money, table: ExchangeTable = STANDARD_TABLE) -> float:

@@ -80,44 +80,6 @@ UNTRUSTED_DEFECT_PROB = 0.005
 
 
 # ---------------------------------------------------------------------------
-# Experiment specification
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """A validated experiment request: kind, parameter grid, output directory."""
-
-    kind: str
-    n_txn: int = 1_000_000
-    seeds: tuple[int, ...] = (0,)
-    out_dir: str | None = None
-    m_values: tuple[float, ...] = BASIC_M_VALUES
-    defect_probs: tuple[float, ...] = BASIC_DEFECT_PROBS
-    benign_p: float = 0.001
-    malicious_ps: tuple[float, ...] = (0.0015, 0.002)
-    switch_at: int = 500_000
-    sim: SimConfig | None = None
-
-    def validate(self) -> None:
-        if self.kind not in ("basic", "end_to_end", "attack"):
-            raise InvalidConfig(f"unknown experiment kind {self.kind!r}")
-        if self.n_txn < 1:
-            raise InvalidConfig("n_txn must be >= 1")
-        if not self.seeds:
-            raise InvalidConfig("at least one seed is required")
-        if self.kind == "basic" and (not self.m_values or not self.defect_probs):
-            raise InvalidConfig("basic sweep needs a non-empty (m, defect_prob) grid")
-        if self.kind == "attack":
-            if not self.malicious_ps:
-                raise InvalidConfig("attack run needs at least one malicious level")
-            if not 0 <= self.switch_at < self.n_txn:
-                raise InvalidConfig("switch_at must lie before the end of the stream")
-        if self.kind == "end_to_end" and self.sim is not None:
-            self.sim.validate()
-
-
-# ---------------------------------------------------------------------------
 # Single-seller curves (basic and attack experiments)
 # ---------------------------------------------------------------------------
 
@@ -143,14 +105,6 @@ def uniform_draws(n: int, seed: int) -> np.ndarray:
 
 def defect_mask(n: int, p: float, seed: int) -> np.ndarray:
     return uniform_draws(n, seed) < p
-
-
-def switching_mask(
-    n: int, p_before: float, p_after: float, switch_at: int, seed: int
-) -> np.ndarray:
-    u = uniform_draws(n, seed)
-    thresholds = np.where(np.arange(n) < switch_at, p_before, p_after)
-    return u < thresholds
 
 
 def _sample_positions(n: int, stride: int) -> np.ndarray:
@@ -476,9 +430,6 @@ def oracle_recompute(
         op = rec[0]
         if op == "entity":
             entity_info[rec[1]] = (rec[2], rec[3])
-        elif op == "meta":
-            meta_id = f"X^{rec[1]}_{rec[2]}"
-            entity_info.setdefault(meta_id, ("META", rec[1]))
         elif op == "type":
             type_kind[rec[1]] = rec[2]
         elif op == "devices":
@@ -656,15 +607,3 @@ def write_traces(path, traces: Sequence[PenaltyTrace]) -> Path:
             fh.write("\n")
     return path
 
-
-class TracingEngine(ReputationEngine):
-    """Engine variant that additionally records penalty traces for audit export."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.traces: list[PenaltyTrace] = []
-
-    def lifecycle_failed(self, own_path, penalty_path=None, part=""):
-        trace = super().lifecycle_failed(own_path, penalty_path, part)
-        self.traces.append(trace)
-        return trace

@@ -76,6 +76,9 @@ class TxnStatus(str, Enum):
     REJECTED = "rejected"
 
 
+#: Prefix of meta-entity ids; user entities may not take it.
+META_PREFIX = "X^"
+
 #: Statuses from which a part may be transferred or consumed.
 TRANSFERABLE = frozenset({PartStatus.REGISTERED, PartStatus.OWNED, PartStatus.VERIFIED_OK})
 
@@ -244,8 +247,11 @@ class Ledger:
     # -- world setup ----------------------------------------------------------
 
     def add_chain(self, chain_id: ChainId) -> None:
-        if not chain_id:
-            raise InvalidArgument("chain id must be non-empty")
+        if not isinstance(chain_id, str) or not chain_id:
+            raise InvalidArgument("chain id must be a non-empty string")
+        if "_" in chain_id or "^" in chain_id:
+            # Reserved for meta-entity ids, which must stay injective.
+            raise InvalidArgument(f"chain id {chain_id!r} may not contain '_' or '^'")
         if chain_id in self._chains:
             raise AlreadyExists(f"chain {chain_id!r} already registered")
         self._log.append(("chain", chain_id))
@@ -256,8 +262,8 @@ class Ledger:
             raise AlreadyExists(f"entity {entity.id!r} already registered")
         if entity.chain not in self._chains:
             raise NotFound(f"unknown chain {entity.chain!r}")
-        if entity.role is Role.META_ENTITY:
-            raise PermissionDenied("meta-entities are created only by cross-chain splits")
+        if entity.role is Role.META_ENTITY or entity.id.startswith(META_PREFIX):
+            raise PermissionDenied("meta-entities are created only by cross-chain transfers")
         self._log.append(("entity", entity.id, entity.role.value, entity.chain))
         self._entities[entity.id] = entity
 
@@ -443,39 +449,19 @@ class Ledger:
 
     # -- cross-chain meta-entities ----------------------------------------------
 
-    def _meta_id(self, src_chain: ChainId, dst_chain: ChainId) -> EntityId:
-        return f"X^{src_chain}_{dst_chain}"
-
     def _get_or_create_meta(self, src_chain: ChainId, dst_chain: ChainId) -> EntityId:
+        """The meta-entity of an ordered chain pair, created on first crossing.
+
+        Its id is ``X^<src>_<dst>``; chain ids may contain neither separator
+        and user entities may not take the ``X^`` prefix, so the id names
+        exactly one pair. Creation is implied by the confirm record.
+        """
         meta_id = self._meta.get((src_chain, dst_chain))
         if meta_id is None:
-            meta_id = self._meta_id(src_chain, dst_chain)
+            meta_id = f"{META_PREFIX}{src_chain}_{dst_chain}"
             self._meta[(src_chain, dst_chain)] = meta_id
             self._entities[meta_id] = Entity(meta_id, Role.META_ENTITY, src_chain)
         return meta_id
-
-    def cross_chain_split(self, txn: Transaction) -> tuple[Transaction, Transaction]:
-        """Split a cross-chain transaction into its two recorded halves.
-
-        One meta-entity exists per ordered (source-chain, dest-chain) pair; it
-        is created lazily, and the creation is logged so replay reproduces it.
-        """
-        src_chain = self.entity(txn.source).chain
-        dst_chain = self.entity(txn.dest).chain
-        if src_chain == dst_chain:
-            raise InvalidArgument("transaction does not cross chains")
-        if (src_chain, dst_chain) not in self._meta:
-            self._log.append(("meta", src_chain, dst_chain))
-        meta_id = self._get_or_create_meta(src_chain, dst_chain)
-        first = Transaction(
-            txn.seq, txn.part_type, txn.source, meta_id, txn.ids, txn.amounts,
-            txn.currency, txn.status,
-        )
-        second = Transaction(
-            txn.seq, txn.part_type, meta_id, txn.dest, txn.ids, txn.amounts,
-            txn.currency, txn.status,
-        )
-        return first, second
 
     # -- read-only verification ---------------------------------------------------
 
@@ -632,44 +618,6 @@ class Ledger:
         rates = self.exchange.rates
         return [(s, b, amount * rates[cur]) for s, b, amount, cur in edges]
 
-    def owned_count(self, owner: EntityId, part_type: str) -> int:
-        return sum(
-            1
-            for part in self._parts.values()
-            if part.owner == owner and part.part_type == part_type
-        )
-
-    def iter_transactions(self, expand_cross_chain: bool = True) -> Iterator[dict]:
-        """The recorded transaction stream as JSON-shaped dicts.
-
-        Cross-chain transfers are expanded into their two split halves, in the
-        order seller-to-meta then meta-to-buyer.
-        """
-        for txn in self._txns:
-            if expand_cross_chain and txn.via_meta is not None:
-                first, second = (
-                    (txn.source, txn.via_meta),
-                    (txn.via_meta, txn.dest),
-                )
-                for src, dst in (first, second):
-                    yield self._txn_dict(txn, src, dst)
-            else:
-                yield self._txn_dict(txn, txn.source, txn.dest)
-
-    @staticmethod
-    def _txn_dict(txn: Transaction, src: EntityId, dst: EntityId) -> dict:
-        return {
-            "seq": txn.seq,
-            "part_type": txn.part_type,
-            "source": src,
-            "dest": dst,
-            "unit_amounts": list(txn.amounts),
-            "currency": txn.currency,
-            "count": txn.count,
-            "ids": list(txn.ids),
-            "status": txn.status.value,
-        }
-
     # -- serialization and replay ---------------------------------------------
 
     def state_json(self) -> str:
@@ -733,7 +681,7 @@ class Ledger:
     def log_lines(self) -> Iterator[str]:
         """The operation log as newline-delimited JSON with fixed field order."""
         for rec in self._log:
-            yield json.dumps(_record_to_obj(rec), separators=(",", ":"))
+            yield _encode(_record_to_obj(rec))
 
     def save_log(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -741,17 +689,16 @@ class Ledger:
                 fh.write(line)
                 fh.write("\n")
 
-    def apply_record(self, rec: tuple) -> None:
-        """Apply one log record through the public (validating) API."""
+    def apply_record(self, rec: tuple) -> AdjudicationResult | None:
+        """Apply one log record through the public (validating) API.
+
+        Returns the ``AdjudicationResult`` of an adjudicate record, else None.
+        """
         op = rec[0]
         if op == "chain":
             self.add_chain(rec[1])
         elif op == "entity":
             self.add_entity(Entity(rec[1], Role(rec[2]), rec[3]))
-        elif op == "meta":
-            if (rec[1], rec[2]) not in self._meta:
-                self._log.append(("meta", rec[1], rec[2]))
-            self._get_or_create_meta(rec[1], rec[2])
         elif op == "type":
             self._register_type(rec[3], rec[1], PartKind(rec[2]))
         elif op == "devices":
@@ -769,9 +716,10 @@ class Ledger:
         elif op == "report":
             self.report(rec[1], rec[2], rec[3])
         elif op == "adjudicate":
-            self.adjudicate(rec[1], rec[2], rec[3], dict(rec[4]))
+            return self.adjudicate(rec[1], rec[2], rec[3], dict(rec[4]))
         else:
             raise InvalidArgument(f"unknown log operation {op!r}")
+        return None
 
     @classmethod
     def replay(
@@ -798,14 +746,16 @@ class Ledger:
         return cls.replay(load_log_records(path), exchange=exchange, observers=observers)
 
 
+#: Compact encoder for log lines, built once rather than per record.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _record_to_obj(rec: tuple) -> dict:
     op = rec[0]
     if op == "chain":
         return {"op": op, "id": rec[1]}
     if op == "entity":
         return {"op": op, "id": rec[1], "role": rec[2], "chain": rec[3]}
-    if op == "meta":
-        return {"op": op, "src": rec[1], "dst": rec[2]}
     if op == "type":
         return {"op": op, "name": rec[1], "kind": rec[2], "maker": rec[3]}
     if op == "devices":
@@ -844,8 +794,6 @@ def _obj_to_record(obj: dict) -> tuple:
         return (op, obj["id"])
     if op == "entity":
         return (op, obj["id"], obj["role"], obj["chain"])
-    if op == "meta":
-        return (op, obj["src"], obj["dst"])
     if op == "type":
         return (op, obj["name"], obj["kind"], obj["maker"])
     if op == "devices":
@@ -879,11 +827,30 @@ def _obj_to_record(obj: dict) -> tuple:
 
 
 def load_log_records(path) -> list[tuple]:
-    """Parse a newline-delimited ledger log file back into records."""
+    """Parse a newline-delimited ledger log file back into records.
+
+    A line that is not a well-formed record raises ``InvalidArgument`` naming
+    ``path:line``.
+    """
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                records.append(_obj_to_record(json.loads(line)))
+                try:
+                    records.append(_obj_to_record(json.loads(line)))
+                except (ValueError, TypeError, KeyError, AttributeError, InvalidArgument) as exc:
+                    raise InvalidArgument(f"{path}:{lineno}: {_line_error(line, exc)}") from None
     return records
+
+
+def _line_error(line: str, exc: Exception) -> str:
+    if isinstance(exc, json.JSONDecodeError):
+        return f"invalid JSON: {exc.msg} at column {exc.colno}"
+    if not isinstance(json.loads(line), dict):
+        return "log line is not a JSON object"
+    if isinstance(exc, KeyError):
+        return f"log record lacks field {exc.args[0]!r}"
+    if isinstance(exc, InvalidArgument):
+        return str(exc)
+    return f"malformed log record: {exc}"

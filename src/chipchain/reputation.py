@@ -35,6 +35,7 @@ Two penalty forms are supported:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -60,17 +61,14 @@ class ReputationParams:
 
     decrease_rate: float = 0.1
     trusted_discount: float = 2.0
-    untrusted_discount: float = 1.0
     exchange: ExchangeTable = STANDARD_TABLE
     penalty_form: str = "rate"
 
     def __post_init__(self) -> None:
-        if self.decrease_rate <= 0:
-            raise InvalidArgument("decrease_rate must be positive")
-        if self.trusted_discount < 1:
-            raise InvalidArgument("trusted_discount must be >= 1")
-        if self.untrusted_discount != 1.0:
-            raise InvalidArgument("untrusted_discount is fixed to 1")
+        if not math.isfinite(self.decrease_rate) or self.decrease_rate <= 0:
+            raise InvalidArgument("decrease_rate must be finite and positive")
+        if not math.isfinite(self.trusted_discount) or self.trusted_discount < 1:
+            raise InvalidArgument("trusted_discount must be finite and >= 1")
         if self.penalty_form not in PENALTY_FORMS:
             raise InvalidArgument(f"penalty_form must be one of {PENALTY_FORMS}")
 
@@ -103,26 +101,15 @@ class PenaltyTrace:
     part: str = ""
     entries: list[tuple[EntityId, float, float]] = field(default_factory=list)
 
-    def rates(self) -> list[float]:
-        return [rate for _, rate, _ in self.entries]
-
-    def divisors(self) -> list[float]:
-        return [div for _, _, div in self.entries]
-
-    def sellers(self) -> list[EntityId]:
-        return [eid for eid, _, _ in self.entries]
-
 
 def edge_discount(seller: Entity, view: ObserverView, params: ReputationParams) -> float:
     """Discount contributed by an edge, determined by the edge's seller.
 
-    Untrusted-chain sellers and meta-entity hops contribute the untrusted
-    discount (1), trusted-chain sellers the trusted discount.
+    Untrusted-chain sellers and meta-entity hops contribute no discount (1),
+    trusted-chain sellers the trusted discount.
     """
-    if seller.role is Role.META_ENTITY:
-        return params.untrusted_discount
-    if seller.chain not in view.trusted_chains:
-        return params.untrusted_discount
+    if seller.role is Role.META_ENTITY or seller.chain not in view.trusted_chains:
+        return 1.0
     return params.trusted_discount
 
 

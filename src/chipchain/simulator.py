@@ -1,4 +1,4 @@
-"""Seeded supply-chain simulator: populations, topologies, and event streams.
+"""Seeded supply-chain simulator: populations, topologies, and record streams.
 
 The generator mimics real part flows. Each chiplet is registered by its
 manufacturer, hops through one or more distributors, and lands at an IC
@@ -17,25 +17,22 @@ entities.
 
 Everything is a pure function of (config, seed). The PRNG is PCG64 (numpy's
 default bit generator), so identical configs yield bit-identical streams. A
-stream applied to a fresh ledger never violates an operation precondition, and
-streams round-trip through newline-delimited JSON for replay without
-regeneration.
+stream is a sequence of ledger log records: applied to a fresh ledger it never
+violates an operation precondition and reproduces itself as the ledger's log,
+so a saved log replays without regeneration.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .domain import ChainId, Entity, EntityId, Money, Role, hash_device_id
 from .errors import InvalidConfig
 from .ledger import Ledger, PartKind, PartStatus
-from .reputation import ObserverView, ReputationEngine
-
-SimEvent = dict[str, Any]
+from .reputation import ObserverView, PenaltyTrace, ReputationEngine
 
 _ROLE_PREFIX = {
     Role.CHIPLET_MANUFACTURER: "cm",
@@ -268,11 +265,14 @@ def generate_stream(
     topology: Topology,
     cfg: SimConfig,
     behaviors: Mapping[EntityId, BehaviorProfile] | None = None,
-) -> Iterator[SimEvent]:
-    """Yield the full event stream: world setup, then interleaved lifecycles.
+) -> Iterator[tuple]:
+    """Yield the ledger log records of a run: world setup, then lifecycles.
 
-    Emits exactly ``cfg.n_transactions`` transfer events (each a
-    transfer-plus-confirmation pair), truncating the last lifecycle when the
+    The records are exactly those ``Ledger.log_records()`` holds after they
+    are applied to a fresh ledger. Each hop is a transfer record followed by
+    its confirm record, and each adjudicate record names its failed report by
+    the sequential id the ledger assigns it. Emits exactly
+    ``cfg.n_transactions`` hops, truncating the last lifecycle when the
     budget runs out; parts cut off mid-route simply remain in flight.
     """
     cfg.validate()
@@ -286,13 +286,13 @@ def generate_stream(
     chain_names = [c for c, _ in cfg.chains]
 
     for chain in chain_names:
-        yield {"ev": "chain", "id": chain}
+        yield ("chain", chain)
     for entity in topology.entities:
-        yield {"ev": "entity", "id": entity.id, "role": entity.role.value, "chain": entity.chain}
+        yield ("entity", entity.id, entity.role.value, entity.chain)
     for cm, type_name in topology.chiplet_type_of.items():
-        yield {"ev": "newtype", "maker": cm, "name": type_name, "kind": PartKind.CHIPLET.value}
+        yield ("type", type_name, PartKind.CHIPLET.value, cm)
     for icm, type_name in topology.ic_type_of.items():
-        yield {"ev": "newtype", "maker": icm, "name": type_name, "kind": PartKind.IC.value}
+        yield ("type", type_name, PartKind.IC.value, icm)
 
     pools = _PartnerPools(topology, chain_names)
     cms = topology.by_role[Role.CHIPLET_MANUFACTURER]
@@ -304,6 +304,7 @@ def generate_stream(
 
     serial = 0
     txns = 0
+    reports = 0
     budget = cfg.n_transactions
     # Verified chiplets waiting at each IC manufacturer: (chiplet id, acquisition cost).
     ic_pools: dict[EntityId, list[tuple[str, float]]] = {
@@ -322,31 +323,23 @@ def generate_stream(
         stations.append(pools.pick(rng, end_role, chain_of[holder], holder, cfg.cross_chain_prob))
         return stations
 
-    def xfer_event(kind: PartKind, type_name: str, src, dst, hid, amount) -> SimEvent:
-        return {
-            "ev": "xfer",
-            "kind": kind.value,
-            "type": type_name,
-            "src": src,
-            "dst": dst,
-            "ids": [hid],
-            "amounts": [amount],
-            "currency": currency,
-        }
-
     while txns < budget:
         cm = cms[int(rng.integers(0, len(cms)))]
         serial += 1
         hid = hash_device_id(f"c{serial:09d}")
+        ids = (hid,)
         defect = sample_defect(behaviors[cm], txns, rng)
         type_name = topology.chiplet_type_of[cm]
-        yield {"ev": "register", "maker": cm, "type": type_name, "ids": [hid]}
+        yield ("devices", cm, type_name, ids)
 
         stations = plan_route(cm, Role.CHIPLET_DISTRIBUTOR, Role.IC_MANUFACTURER)
         holder, amount, acquisition = cm, base_amount, base_amount
         reached = True
         for i, nxt in enumerate(stations):
-            yield xfer_event(PartKind.CHIPLET, type_name, holder, nxt, hid, amount)
+            yield (
+                "transfer", PartKind.CHIPLET.value, type_name, holder, nxt, ids, (amount,), currency
+            )
+            yield ("confirm", nxt, type_name, ids)
             txns += 1
             holder, acquisition = nxt, amount
             amount *= markup
@@ -356,16 +349,10 @@ def generate_stream(
         if not reached:
             return  # part left in flight; transfer budget exhausted
         icm = holder
-        yield {"ev": "report", "reporter": icm, "ids": [hid], "result": int(defect)}
+        reports += 1
+        yield ("report", icm, ids, int(defect))
         if defect:
-            yield {
-                "ev": "adjudicate",
-                "ta": topology.tas[chain_of[icm]],
-                "reporter": icm,
-                "ids": [hid],
-                "defective": [hid],
-                "origins": {},
-            }
+            yield ("adjudicate", topology.tas[chain_of[icm]], f"R{reports:06d}", ids, ())
             continue
         ic_pools[icm].append((hid, acquisition))
         if len(ic_pools[icm]) < cfg.chiplets_per_ic or txns >= budget:
@@ -376,20 +363,19 @@ def generate_stream(
         del ic_pools[icm][: cfg.chiplets_per_ic]
         serial += 1
         ic_hid = hash_device_id(f"i{serial:09d}")
+        ic_ids = (ic_hid,)
         ic_defect = sample_defect(behaviors[icm], txns, rng)
         ic_type = topology.ic_type_of[icm]
-        yield {"ev": "register", "maker": icm, "type": ic_type, "ids": [ic_hid]}
-        yield {
-            "ev": "consume",
-            "caller": icm,
-            "chiplets": sorted(h for h, _ in batch),
-            "ic": ic_hid,
-        }
+        yield ("devices", icm, ic_type, ic_ids)
+        yield ("consume", icm, tuple(sorted(h for h, _ in batch)), ic_hid)
         stations = plan_route(icm, Role.IC_DISTRIBUTOR, Role.SYSTEM_INTEGRATOR)
         holder, amount = icm, sum(a for _, a in batch) * markup
         reached = True
         for i, nxt in enumerate(stations):
-            yield xfer_event(PartKind.IC, ic_type, holder, nxt, ic_hid, amount)
+            yield (
+                "transfer", PartKind.IC.value, ic_type, holder, nxt, ic_ids, (amount,), currency
+            )
+            yield ("confirm", nxt, ic_type, ic_ids)
             txns += 1
             holder = nxt
             amount *= markup
@@ -399,21 +385,15 @@ def generate_stream(
         if not reached:
             return
         si = holder
-        yield {"ev": "report", "reporter": si, "ids": [ic_hid], "result": int(ic_defect)}
+        reports += 1
+        yield ("report", si, ic_ids, int(ic_defect))
         if ic_defect:
-            yield {
-                "ev": "adjudicate",
-                "ta": topology.tas[chain_of[si]],
-                "reporter": si,
-                "ids": [ic_hid],
-                "defective": [ic_hid],
-                "origins": {},
-            }
+            yield ("adjudicate", topology.tas[chain_of[si]], f"R{reports:06d}", ic_ids, ())
 
 
 @dataclass
 class ReplayResult:
-    """Final world state plus per-entity reputation samples taken at a stride."""
+    """Final world state, reputation samples taken at a stride, and penalty traces."""
 
     ledger: Ledger
     engines: list[ReputationEngine]
@@ -423,43 +403,39 @@ class ReplayResult:
     sample_r: np.ndarray
     sample_norm: np.ndarray
     in_flight: set[str] = field(default_factory=set)
+    traces: list[PenaltyTrace] = field(default_factory=list)
 
 
 def replay(
-    events: Iterable[SimEvent],
-    ledger: Ledger | None = None,
+    records: Iterable[tuple],
     engines: Sequence[ReputationEngine] = (),
     sample_stride: int = 0,
-    tracked: Sequence[EntityId] | None = None,
 ) -> ReplayResult:
-    """Apply an event stream to a ledger, sampling reputation as it goes.
+    """Apply log records to a fresh ledger, sampling reputation as it goes.
 
-    Samples are taken from the first engine each time the running transfer
-    count hits a multiple of ``sample_stride`` (plus once at stream end), for
-    ``tracked`` entities (default: every non-meta entity, fixed at the first
-    sample).
+    Samples are taken from the first engine each time the running count of
+    confirm records hits a multiple of ``sample_stride`` (plus once at stream
+    end), for every non-meta entity known at the first sample.
     """
-    if ledger is None:
-        ledger = Ledger()
+    ledger = Ledger()
     engines = list(engines)
     for engine in engines:
         ledger.attach(engine)
 
     txn_count = 0
-    open_fail_reports: dict[tuple[EntityId, frozenset], str] = {}
-    columns: list[EntityId] | None = list(tracked) if tracked is not None else None
+    traces: list[PenaltyTrace] = []
+    columns: list[EntityId] = []
     indices: list[int] = []
     rows_r: list[list[float]] = []
     rows_norm: list[list[float]] = []
 
     def snapshot() -> None:
-        nonlocal columns
         if not engines:
             return
         engine = engines[0]
-        if columns is None:
-            columns = sorted(
-                eid for eid, ent in ledger.entities.items() if ent.role is not Role.META_ENTITY
+        if not indices:
+            columns.extend(
+                sorted(e for e, ent in ledger.entities.items() if ent.role is not Role.META_ENTITY)
             )
         indices.append(txn_count)
         reps = engine._rep
@@ -476,44 +452,15 @@ def replay(
         rows_r.append(row_r)
         rows_norm.append(row_n)
 
-    for ev in events:
-        kind = ev["ev"]
-        if kind == "xfer":
-            prices = [Money(a, ev["currency"]) for a in ev["amounts"]]
-            if ev["kind"] == PartKind.CHIPLET.value:
-                ledger.transfer_chiplets(
-                    ev["src"], ev["type"], len(ev["ids"]), ev["ids"], prices, ev["dst"]
-                )
-            else:
-                ledger.transfer_ics(
-                    ev["src"], ev["type"], len(ev["ids"]), ev["ids"], prices, ev["dst"]
-                )
-            ledger.confirm_transfer(ev["dst"], ev["type"], len(ev["ids"]), ev["ids"])
+    apply = ledger.apply_record
+    for rec in records:
+        outcome = apply(rec)
+        if rec[0] == "confirm":
             txn_count += 1
             if sample_stride and txn_count % sample_stride == 0:
                 snapshot()
-        elif kind == "register":
-            ledger.register_devices(ev["maker"], ev["type"], ev["ids"])
-        elif kind == "report":
-            rid = ledger.report(ev["reporter"], ev["ids"], ev["result"])
-            if ev["result"] == 1:
-                open_fail_reports[(ev["reporter"], frozenset(ev["ids"]))] = rid
-        elif kind == "adjudicate":
-            rid = open_fail_reports.pop((ev["reporter"], frozenset(ev["ids"])))
-            ledger.adjudicate(ev["ta"], rid, ev["defective"], ev.get("origins") or {})
-        elif kind == "consume":
-            ledger.consume_chiplets(ev["caller"], ev["chiplets"], ev["ic"])
-        elif kind == "newtype":
-            if ev["kind"] == PartKind.CHIPLET.value:
-                ledger.register_chiplet_type(ev["maker"], ev["name"])
-            else:
-                ledger.register_ic_type(ev["maker"], ev["name"])
-        elif kind == "entity":
-            ledger.add_entity(Entity(ev["id"], Role(ev["role"]), ev["chain"]))
-        elif kind == "chain":
-            ledger.add_chain(ev["id"])
-        else:
-            raise InvalidConfig(f"unknown event kind {kind!r}")
+        elif outcome is not None:
+            traces.extend(outcome.traces)
 
     if sample_stride and (not indices or indices[-1] != txn_count):
         snapshot()
@@ -527,30 +474,15 @@ def replay(
         if part.status not in terminal:
             in_flight.add(hid)
 
-    n_cols = len(columns) if columns else 0
+    n_cols = len(columns)
     return ReplayResult(
         ledger=ledger,
         engines=engines,
         txn_count=txn_count,
         sample_indices=np.asarray(indices, dtype=np.int64),
-        sample_entities=columns or [],
+        sample_entities=columns,
         sample_r=np.asarray(rows_r, dtype=np.float64).reshape(len(indices), n_cols),
         sample_norm=np.asarray(rows_norm, dtype=np.float64).reshape(len(indices), n_cols),
         in_flight=in_flight,
+        traces=traces,
     )
-
-
-def save_events(events: Iterable[SimEvent], path) -> None:
-    """Write a stream as newline-delimited JSON for later replay."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for ev in events:
-            fh.write(json.dumps(ev, separators=(",", ":")))
-            fh.write("\n")
-
-
-def load_events(path) -> Iterator[SimEvent]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -90,8 +91,9 @@ class TestSimulatePipeline:
     def test_simulate_writes_artifacts(self, tmp_path, config_file):
         out = tmp_path / "run"
         assert run(["simulate", "--config", config_file, "--out", out]) == 0
-        for name in ("events.ndjson", "ledger.ndjson", "scores.csv", "penalties.ndjson", "run.json"):
+        for name in ("ledger.ndjson", "scores.csv", "penalties.ndjson", "run.json"):
             assert (out / name).exists(), name
+        assert not (out / "events.ndjson").exists()
 
     def test_verify_oracle_passes_on_simulate_log(self, tmp_path, config_file, capsys):
         out = tmp_path / "run"
@@ -108,12 +110,14 @@ class TestSimulatePipeline:
         run(["simulate", "--config", config_file, "--out", out])
         replayed = tmp_path / "replayed"
         code = run(
-            ["replay", "--events", out / "events.ndjson", "--out", replayed,
+            ["replay", "--log", out / "ledger.ndjson", "--out", replayed,
              "--trusted-chains", "TC-1", "--m", "0.1"]
         )
         assert code == 0
         assert (replayed / "ledger.ndjson").read_bytes() == (out / "ledger.ndjson").read_bytes()
-        assert (replayed / "scores.csv").exists()
+        # Same view and parameters as simulate; only the comment line differs.
+        replayed_rows = (replayed / "scores.csv").read_text().splitlines()
+        assert replayed_rows[1:] == (out / "scores.csv").read_text().splitlines()[1:]
 
     def test_score_queries_one_entity(self, tmp_path, config_file, capsys):
         out = tmp_path / "run"
@@ -141,13 +145,13 @@ class TestSimulatePipeline:
         a, b = tmp_path / "a", tmp_path / "b"
         run(["simulate", "--config", config_file, "--out", a])
         run(["simulate", "--config", config_file, "--seed", "99", "--out", b])
-        assert (a / "events.ndjson").read_bytes() != (b / "events.ndjson").read_bytes()
+        assert (a / "ledger.ndjson").read_bytes() != (b / "ledger.ndjson").read_bytes()
 
     def test_rerun_is_byte_identical(self, tmp_path, config_file):
         a, b = tmp_path / "a", tmp_path / "b"
         run(["simulate", "--config", config_file, "--out", a])
         run(["simulate", "--config", config_file, "--out", b])
-        for name in ("events.ndjson", "ledger.ndjson", "scores.csv"):
+        for name in ("ledger.ndjson", "scores.csv", "penalties.ndjson"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
@@ -175,3 +179,95 @@ class TestEndToEndCommand:
         code = run(["end-to-end", "--config", bad, "--out", tmp_path / "x"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+VALID_PREFIX = '{"op":"chain","id":"TB"}\n{"op":"entity","id":"ta","role":"TA","chain":"TB"}\n'
+
+
+class TestMalformedLogs:
+    """A malformed log ends in exit 1 and a one-line diagnostic, never a traceback."""
+
+    COMMANDS = ("replay", "score", "verify-oracle")
+
+    @staticmethod
+    def argv(command, log, tmp_path):
+        extra = {"replay": ["--out", tmp_path / "replayed"], "score": ["--entity", "ta"]}
+        return [command, "--log", log, *extra.get(command, [])]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"op":"entity",', "invalid JSON"),
+            ("[1, 2, 3]", "not a JSON object"),
+            ('{"op":"meta","src":"TB","dst":"UB"}', "unknown log operation 'meta'"),
+            ('{"op":"chain"}', "lacks field 'id'"),
+        ],
+        ids=["bad_json", "not_object", "unknown_op", "missing_field"],
+    )
+    def test_decode_errors_name_path_and_line(self, tmp_path, capsys, command, line, message):
+        log = tmp_path / "bad.ndjson"
+        log.write_text(VALID_PREFIX + line + "\n")
+        assert run(self.argv(command, log, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {log}:3: ")
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_adjudication_of_unknown_report(self, tmp_path, capsys, command):
+        log = tmp_path / "orphan.ndjson"
+        log.write_text(
+            VALID_PREFIX
+            + '{"op":"adjudicate","ta":"ta","report":"R000001","defective":[],"origins":{}}\n'
+        )
+        assert run(self.argv(command, log, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err == "error: unknown report 'R000001'\n"
+
+
+#: A small world with defects (chiplet and IC) and frequent chain crossings.
+GOLDEN_CONFIG = {
+    "sim": {
+        "chiplet_mfrs": 4,
+        "chiplet_dists": 8,
+        "ic_mfrs": 3,
+        "ic_dists": 6,
+        "si_count": 3,
+        "chains": [["TC-1", True], ["TC-2", True], ["UC-1", False]],
+        "n_transactions": 600,
+        "cross_chain_prob": 0.5,
+        "rng_seed": 5,
+    },
+    "behaviors": {"uniform_p": 0.05, "per_chain": {"UC-1": 0.2}},
+    "reputation": {"decrease_rate": 0.1},
+}
+
+#: sha256 of each output, computed before the simulator emitted ledger records
+#: directly (when simulate still wrote and replayed an events.ndjson stream).
+GOLDEN_DIGESTS = {
+    "sim/ledger.ndjson": "b3806c4d021f1c45914ab71bbd379a19635d7c71bf7342c4afac03f4611362c1",
+    "sim/scores.csv": "0a1fbf10dd08669d653338ff735a1e31f89aac10b7eb128ef87353e8fb94495e",
+    "sim/penalties.ndjson": "625b8eb9f17520c661d68a31edb4408cdc9e6d228705c8bdf2d7d75c6af1b79a",
+    "e2e/end_to_end_seed5.csv": "f332b0177bbbd1b7208727ebe915ebe51f74a275e8ee7b50af2e78cae9f3934c",
+    "e2e/ledger.ndjson": "b3806c4d021f1c45914ab71bbd379a19635d7c71bf7342c4afac03f4611362c1",
+    "e2e/scores.csv": "86cf7398ea3e8b697d2a4a7381a77711a62e32d2c7b09c7a94f03cb5e3925afa",
+}
+
+
+class TestGoldenOutputs:
+    def test_outputs_match_recorded_digests(self, tmp_path):
+        config = tmp_path / "golden.json"
+        config.write_text(json.dumps(GOLDEN_CONFIG))
+        for command, out in (("simulate", "sim"), ("end-to-end", "e2e")):
+            argv = [command, "--config", config, "--out", tmp_path / out, "--stride", "50"]
+            assert run(argv) == 0
+        penalties = (tmp_path / "sim/penalties.ndjson").read_text().splitlines()
+        assert len(penalties) == 16
+        assert sum("X^" in line for line in penalties) > 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in GOLDEN_DIGESTS
+        }
+        assert digests == GOLDEN_DIGESTS

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from chipchain.domain import (
@@ -31,6 +33,26 @@ class TestHashDeviceId:
             hash_device_id("")
         with pytest.raises(InvalidArgument):
             hash_device_id(b"")
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            SHA256_ABC.upper(),
+            SHA256_ABC[:-1] + "_",
+            SHA256_ABC[:63],
+            SHA256_ABC + "0",
+            SHA256_ABC[:-1] + "\u0661",  # ARABIC-INDIC DIGIT ONE
+            SHA256_ABC[:-1] + "\uff10",  # FULLWIDTH DIGIT ZERO
+            SHA256_ABC + "\n",
+            SHA256_ABC[:-1] + "\n",
+            "",
+            None,
+            int(SHA256_ABC, 16),
+            SHA256_ABC.encode(),
+        ],
+    )
+    def test_malformed_ids_rejected(self, value):
+        assert not is_hashed_id(value)
 
     def test_wire_format(self):
         digest = hash_device_id("anything")
@@ -86,3 +108,15 @@ class TestMoneyAndTable:
         money = Money(5.0)
         with pytest.raises(Exception):
             money.amount = 6.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_amount_rejected(self, value):
+        with pytest.raises(InvalidArgument, match="finite"):
+            Money(value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_rejected(self, value):
+        with pytest.raises(InvalidArgument):
+            ExchangeTable({"EUR": value})
+        with pytest.raises(InvalidArgument):
+            ExchangeTable({"STD": value})

@@ -3,8 +3,6 @@ import pytest
 
 from chipchain.errors import InvalidConfig
 from chipchain.harness import (
-    ExperimentSpec,
-    TracingEngine,
     basic_curve,
     defect_mask,
     export_csv,
@@ -19,7 +17,6 @@ from chipchain.harness import (
     write_series_csv,
     write_traces,
 )
-from chipchain.ledger import Ledger
 from chipchain.reputation import ObserverView, ReputationEngine, ReputationParams
 from chipchain.simulator import SimConfig, build_topology, generate_stream, replay
 
@@ -78,7 +75,13 @@ class TestRunBasic:
         with pytest.raises(InvalidConfig):
             run_basic([], [0.1], 10, seed=0)
         with pytest.raises(InvalidConfig):
+            run_basic([0.01], [], 10, seed=0)
+        with pytest.raises(InvalidConfig):
             run_basic([0.01], [0.1], 0, seed=0)
+
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(InvalidConfig):
+            basic_curve(0.01, 0.1, 10, seed=0, backend="nope")
 
     def test_ledger_backend_equivalence(self):
         fast = basic_curve(0.05, 0.02, 1_500, seed=7, stride=300)
@@ -102,6 +105,10 @@ class TestRunAttack:
     def test_bad_switch_rejected(self):
         with pytest.raises(InvalidConfig):
             run_attack(0.001, [0.002], 10_000, 10_000, seed=0)
+
+    def test_no_malicious_level_rejected(self):
+        with pytest.raises(InvalidConfig):
+            run_attack(0.001, [], 5, 10, seed=0)
 
     def test_writes_one_csv_per_behavior(self, tmp_path):
         run_attack(0.001, [0.002], 100, 1_000, seed=0, out_dir=tmp_path, stride=100)
@@ -213,58 +220,14 @@ class TestCsvExport:
 
 
 class TestTraces:
-    def test_tracing_engine_records_penalties(self, tmp_path):
+    def test_replay_collects_penalty_traces(self, tmp_path):
         mask = np.array([False, True, False, True])
-        ledger, _ = _traced_world(0.5)
-        from chipchain.domain import Money
-
-        for t, bad in enumerate(mask, start=1):
-            hid = f"{t:064x}"
-            ledger.register_devices("maker", "part", [hid])
-            ledger.transfer_chiplets("maker", "part", 1, [hid], [Money(1.0)], "checker")
-            ledger.confirm_transfer("checker", "part", 1, [hid])
-            rid = ledger.report("checker", [hid], int(bad))
-            if bad:
-                ledger.adjudicate("ta@main", rid, [hid])
-        engine = ledger.observers[0]
-        assert len(engine.traces) == 2
-        out = write_traces(tmp_path / "traces.ndjson", engine.traces)
+        _, _, _, ledger = ledger_single_seller(mask, 0.5, stride=10)
+        live = ledger.observers[0]
+        fresh = ReputationEngine(live.view, live.params)
+        result = replay(ledger.log_records(), engines=[fresh])
+        assert [trace.part for trace in result.traces] == [f"{2:064x}", f"{4:064x}"]
+        out = write_traces(tmp_path / "traces.ndjson", result.traces)
         lines = out.read_text().splitlines()
         assert len(lines) == 2
         assert '"rate":0.5' in lines[0]
-
-
-def _traced_world(decrease_rate):
-    from chipchain.domain import Entity, Role
-
-    ledger = Ledger()
-    ledger.add_chain("main")
-    ledger.add_entity(Entity("maker", Role.CHIPLET_MANUFACTURER, "main"))
-    ledger.add_entity(Entity("checker", Role.IC_MANUFACTURER, "main"))
-    ledger.add_entity(Entity("ta@main", Role.TRUSTED_AUTHORITY, "main"))
-    ledger.register_chiplet_type("maker", "part")
-    view = ObserverView("main", frozenset({"main"}))
-    engine = ledger.attach(TracingEngine(view, ReputationParams(decrease_rate=decrease_rate)))
-    return ledger, engine
-
-
-class TestExperimentSpec:
-    def test_valid_specs(self):
-        ExperimentSpec(kind="basic", n_txn=10).validate()
-        ExperimentSpec(kind="attack", n_txn=10, switch_at=5).validate()
-        ExperimentSpec(kind="end_to_end", sim=E2E_SMALL).validate()
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"kind": "nope"},
-            {"kind": "basic", "n_txn": 0},
-            {"kind": "basic", "seeds": ()},
-            {"kind": "basic", "m_values": ()},
-            {"kind": "attack", "malicious_ps": ()},
-            {"kind": "attack", "switch_at": 10, "n_txn": 10},
-        ],
-    )
-    def test_invalid_specs(self, kwargs):
-        with pytest.raises(InvalidConfig):
-            ExperimentSpec(**kwargs).validate()

@@ -51,6 +51,10 @@ def price(amount: float, n: int = 1) -> list[Money]:
     return [Money(amount)] * n
 
 
+def owned(ledger, owner, part_type):
+    return sum(1 for p in ledger.parts.values() if p.owner == owner and p.part_type == part_type)
+
+
 def ship(ledger, src, dst, type_name, ids, amount, kind="chiplet"):
     transfer = ledger.transfer_chiplets if kind == "chiplet" else ledger.transfer_ics
     transfer(src, type_name, len(ids), ids, price(amount, len(ids)), dst)
@@ -138,8 +142,8 @@ class TestTwoPhaseTransfer:
         self.ledger.transfer_chiplets("cm1", "T", 3, subset, price(10, 3), "cd1")
         txn = self.ledger.confirm_transfer("cd1", "T", 3, subset)
         assert txn.status is TxnStatus.CONFIRMED
-        assert self.ledger.owned_count("cd1", "T") == 3
-        assert self.ledger.owned_count("cm1", "T") == 2
+        assert owned(self.ledger, "cd1", "T") == 3
+        assert owned(self.ledger, "cm1", "T") == 2
 
     def test_not_owner(self):
         with pytest.raises(NotOwner):
@@ -335,11 +339,10 @@ class TestCrossChainSplit:
         ledger.register_chiplet_type("cm1", "CH")
         h = hid("x")
         ledger.register_devices("cm1", "CH", [h])
-        txn = ledger.transfer_chiplets("cm1", "CH", 1, [h], price(42), "cd3")
-        first, second = ledger.cross_chain_split(txn)
-        assert (first.source, first.dest) == ("cm1", "X^UB_TB")
-        assert (second.source, second.dest) == ("X^UB_TB", "cd3")
-        assert first.amounts == second.amounts == (42.0,)
+        ledger.transfer_chiplets("cm1", "CH", 1, [h], price(42), "cd3")
+        txn = ledger.confirm_transfer("cd3", "CH", 1, [h])
+        assert txn.via_meta == "X^UB_TB"
+        assert ledger.provenance(h) == [("cm1", "X^UB_TB", 42.0), ("X^UB_TB", "cd3", 42.0)]
 
     def test_meta_entity_reused(self):
         ledger, _, _, _ = fig_path_world()
@@ -349,14 +352,15 @@ class TestCrossChainSplit:
         metas = [e for e in ledger.entities.values() if e.role is Role.META_ENTITY]
         assert len(metas) == 1
 
-    def test_same_chain_rejected(self):
+    def test_same_chain_transfer_has_no_meta(self):
         ledger = small_world()
         ledger.register_chiplet_type("cm1", "CH")
         h = hid("y")
         ledger.register_devices("cm1", "CH", [h])
-        txn = ledger.transfer_chiplets("cm1", "CH", 1, [h], price(1), "cd1")
-        with pytest.raises(InvalidArgument):
-            ledger.cross_chain_split(txn)
+        txn = ship(ledger, "cm1", "cd1", "CH", [h], 1.0)
+        assert txn.via_meta is None
+        assert ledger.provenance(h) == [("cm1", "cd1", 1.0)]
+        assert not any(e.role is Role.META_ENTITY for e in ledger.entities.values())
 
     def test_opposite_directions_get_distinct_metas(self):
         ledger = small_world()
@@ -410,7 +414,7 @@ class TestReportAndAdjudication:
         result = self.ledger.adjudicate("ta-tb", rid, [self.chiplets[0]])
         assert len(result.traces) == 1
         # cm1 -> cd3 crossed UB into TB, so the meta hop sits on the path.
-        assert result.traces[0].sellers() == ["cm1", "X^UB_TB", "cd3"]
+        assert [eid for eid, _, _ in result.traces[0].entries] == ["cm1", "X^UB_TB", "cd3"]
         assert self.ledger.part(self.chiplets[0]).status is PartStatus.DEFECTIVE
         # Failed lifecycle still accrues ideal reputation for its own sellers.
         assert self.engine.reputation("cm1").r_ideal == pytest.approx(10.0)
@@ -451,8 +455,9 @@ class TestJoinedAttribution:
         rid = ledger.report("si1", [ic], 1)
         result = ledger.adjudicate("ta-tb", rid, [ic], defect_origins={ic: chiplet})
         trace = result.traces[0]
-        assert trace.sellers() == ["cm1", "cd1", "X^UB_TB", "cd3", "icm1", "icd1", "icd2"]
-        assert trace.rates() == [1.0, 1.0, 1.0, 1.0, 0.5, 0.25, 0.125]
+        sellers = [eid for eid, _, _ in trace.entries]
+        assert sellers == ["cm1", "cd1", "X^UB_TB", "cd3", "icm1", "icd1", "icd2"]
+        assert [rate for _, rate, _ in trace.entries] == [1.0, 1.0, 1.0, 1.0, 0.5, 0.25, 0.125]
 
     def test_origin_must_be_consumed_into_the_part(self):
         ledger, _, chiplet, ic = fig_path_world()
@@ -536,6 +541,68 @@ class TestReplayDeterminism:
             assert json.dumps(obj, separators=(",", ":")) == line
 
 
+class TestMetaIdentity:
+    @pytest.mark.parametrize("chain_id", ["A_B", "B_C", "X^Y", "^", "_"])
+    def test_separator_chain_ids_refused(self, chain_id):
+        ledger = Ledger()
+        with pytest.raises(InvalidArgument):
+            ledger.add_chain(chain_id)
+        assert ledger.log_length() == 0
+        assert ledger.chains == frozenset()
+
+    def test_colliding_chain_pairs_cannot_both_exist(self):
+        # ("A_B", "C") and ("A", "B_C") would both name the meta-entity X^A_B_C.
+        ledger = Ledger()
+        for chain in ("A", "B", "C"):
+            ledger.add_chain(chain)
+        for chain in ("A_B", "B_C"):
+            with pytest.raises(InvalidArgument):
+                ledger.add_chain(chain)
+        assert ledger.chains == frozenset({"A", "B", "C"})
+
+    def test_meta_prefix_reserved(self):
+        ledger = Ledger()
+        ledger.add_chain("P")
+        ledger.add_chain("Q")
+        with pytest.raises(PermissionDenied):
+            ledger.add_entity(Entity("X^P_Q", Role.CHIPLET_MANUFACTURER, "P"))
+        assert "X^P_Q" not in ledger.entities
+        assert ledger.log_length() == 2
+
+
+class TestLogDecoding:
+    VALID = '{"op":"chain","id":"TB"}'
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"op":"chain",', "invalid JSON"),
+            ("[1, 2]", "not a JSON object"),
+            ("42", "not a JSON object"),
+            ('"chain"', "not a JSON object"),
+            ("null", "not a JSON object"),
+            ('{"op":"teleport","id":"x"}', "unknown log operation 'teleport'"),
+            ('{"op":"chain"}', "lacks field 'id'"),
+            ('{"id":"x"}', "lacks field 'op'"),
+            ('{"op":"devices","maker":"cm1","type":"T","ids":7}', "malformed log record"),
+            ('{"op":"adjudicate","ta":"t","report":"R1","defective":[],"origins":[]}',
+             "malformed log record"),
+        ],
+    )
+    def test_malformed_line_names_path_and_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.ndjson"
+        path.write_text(f"{self.VALID}\n\n{line}\n{self.VALID}\n")
+        with pytest.raises(InvalidArgument, match=message) as exc:
+            load_log_records(path)
+        assert str(exc.value).startswith(f"{path}:3: ")
+        assert "\n" not in str(exc.value)
+
+    def test_valid_lines_decode(self, tmp_path):
+        path = tmp_path / "ok.ndjson"
+        path.write_text(f"{self.VALID}\n\n")
+        assert load_log_records(path) == [("chain", "TB")]
+
+
 class TestOwnershipConservation:
     def test_every_part_has_exactly_one_owner(self):
         ledger, _, chiplet, ic = fig_path_world()
@@ -547,12 +614,12 @@ class TestOwnershipConservation:
         ledger.register_chiplet_type("cm1", "CH")
         ids = sorted(hid(f"o{i}") for i in range(4))
         ledger.register_devices("cm1", "CH", ids)
-        assert ledger.owned_count("cm1", "CH") == 4
+        assert owned(ledger, "cm1", "CH") == 4
         ledger.transfer_chiplets("cm1", "CH", 2, ids[:2], price(10, 2), "cd1")
-        assert ledger.owned_count("cm1", "CH") == 4  # pending moves nothing
+        assert owned(ledger, "cm1", "CH") == 4  # pending moves nothing
         ledger.confirm_transfer("cd1", "CH", 2, ids[:2])
-        assert ledger.owned_count("cm1", "CH") == 2
-        assert ledger.owned_count("cd1", "CH") == 2
+        assert owned(ledger, "cm1", "CH") == 2
+        assert owned(ledger, "cd1", "CH") == 2
 
 
 class TestMultiCurrency:
@@ -595,14 +662,11 @@ class TestMultiCurrency:
 class TestEq6View:
     def test_transaction_stream_shape(self):
         ledger, _, chiplet, ic = fig_path_world()
-        stream = list(ledger.iter_transactions())
-        # 6 transfers, one of which crossed chains and expands into two halves.
-        assert len(stream) == 7
-        halves = [t for t in stream if "X^UB_TB" in (t["source"], t["dest"])]
-        assert len(halves) == 2
+        stream = ledger.transactions
+        # 6 transfers, one of which crossed chains and so has two path edges.
+        assert [t.seq for t in stream] == [1, 2, 3, 4, 5, 6]
+        assert [t.via_meta for t in stream].count("X^UB_TB") == 1
+        assert sum(2 if t.via_meta else 1 for t in stream) == 7
         for txn in stream:
-            assert set(txn) == {
-                "seq", "part_type", "source", "dest", "unit_amounts",
-                "currency", "count", "ids", "status",
-            }
-            assert len(txn["ids"]) == txn["count"]
+            assert txn.status is TxnStatus.CONFIRMED
+            assert len(txn.ids) == txn.count == len(txn.amounts)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -15,6 +16,18 @@ from chipchain.reputation import (
 
 UB, TB = "UB", "TB"
 META_ID = "X^UB_TB"
+
+
+def sellers(trace):
+    return [eid for eid, _, _ in trace.entries]
+
+
+def rates(trace):
+    return [rate for _, rate, _ in trace.entries]
+
+
+def divisors(trace):
+    return [div for _, _, div in trace.entries]
 
 
 def two_chain_entities():
@@ -69,15 +82,15 @@ class TestPenaltyRates:
         m, d = 1.0, 2.0
         params = ReputationParams(decrease_rate=m, trusted_discount=d)
         trace = penalty_rates(boundary_crossing_path(), self.entities, self.view, params)
-        assert trace.sellers() == ["cm1", "cd1", META_ID, "cd3", "icm1", "icd1", "icd2"]
-        assert trace.rates() == [m, m, m, m, m / d, m / d**2, m / d**3]
+        assert sellers(trace) == ["cm1", "cd1", META_ID, "cd3", "icm1", "icd1", "icd2"]
+        assert rates(trace) == [m, m, m, m, m / d, m / d**2, m / d**3]
 
     def test_single_hop_path(self):
         params = ReputationParams(decrease_rate=0.25)
         trace = penalty_rates(
             [("cm1", "icm1", 1.0, "STD")], self.entities, self.view, params
         )
-        assert trace.rates() == [0.25]
+        assert rates(trace) == [0.25]
 
     def test_all_trusted_path(self):
         m, d = 2.0, 2.0
@@ -88,7 +101,7 @@ class TestPenaltyRates:
             ("icd2", "si1", 12.0, "STD"),
         ]
         trace = penalty_rates(path, self.entities, self.view, params)
-        assert trace.rates() == [m, m / d, m / d**2]
+        assert rates(trace) == [m, m / d, m / d**2]
 
     def test_empty_path_rejected(self):
         params = ReputationParams()
@@ -98,23 +111,23 @@ class TestPenaltyRates:
     def test_rates_non_increasing(self):
         params = ReputationParams(decrease_rate=3.0, trusted_discount=4.0)
         trace = penalty_rates(boundary_crossing_path(), self.entities, self.view, params)
-        rates = trace.rates()
-        assert all(a >= b for a, b in zip(rates, rates[1:]))
+        seq = rates(trace)
+        assert all(a >= b for a, b in zip(seq, seq[1:]))
 
     def test_untrusted_prefix_penalized_equally(self):
         # Everything up to and including the first trusted-internal acquisition
         # gets the full base rate.
         params = ReputationParams(decrease_rate=1.5, trusted_discount=3.0)
         trace = penalty_rates(boundary_crossing_path(), self.entities, self.view, params)
-        assert trace.rates()[:4] == [1.5, 1.5, 1.5, 1.5]
+        assert rates(trace)[:4] == [1.5, 1.5, 1.5, 1.5]
 
     def test_divisor_forms(self):
         m, d = 2.0, 2.0
         raw = ReputationParams(decrease_rate=m, trusted_discount=d, penalty_form="raw")
         rate = ReputationParams(decrease_rate=m, trusted_discount=d, penalty_form="rate")
         path = boundary_crossing_path()
-        raw_divs = penalty_rates(path, self.entities, self.view, raw).divisors()
-        rate_divs = penalty_rates(path, self.entities, self.view, rate).divisors()
+        raw_divs = divisors(penalty_rates(path, self.entities, self.view, raw))
+        rate_divs = divisors(penalty_rates(path, self.entities, self.view, rate))
         assert raw_divs == [2.0, 2.0, 2.0, 2.0, 1.0, 0.5, 0.25]
         assert rate_divs == [3.0, 3.0, 3.0, 3.0, 2.0, 1.5, 1.25]
 
@@ -186,7 +199,7 @@ class TestPenalties:
         ]
         engine.lifecycle_passed(path)
         trace = engine.lifecycle_failed(path)
-        assert trace.sellers() == ["icm1", "icd1", "icm1"]
+        assert sellers(trace) == ["icm1", "icd1", "icm1"]
         expected_r = (10.0 + 14.0) / (1 + m) / (1 + m / d**2)
         assert engine.reputation("icm1").r == pytest.approx(expected_r)
         assert engine.reputation("icm1").r_ideal == pytest.approx(2 * (10.0 + 14.0))
@@ -198,7 +211,7 @@ class TestPenalties:
             d = rng.uniform(1.0, 5.0)
             engine = self.engine(decrease_rate=m, trusted_discount=d)
             trace = engine.lifecycle_failed(boundary_crossing_path())
-            assert all(div >= 1.0 for div in trace.divisors())
+            assert all(div >= 1.0 for div in divisors(trace))
 
     def test_penalization_never_increases_r(self):
         engine = self.engine(decrease_rate=0.5, trusted_discount=3.0)
@@ -220,7 +233,7 @@ class TestPenalties:
         assert engine.reputation("icm1").r_ideal == 200.0
         # cm1 was still penalized (r stays 0 here, but it is in the trace).
         trace = engine.lifecycle_failed(ic_path, chiplet_path + ic_path)
-        assert trace.sellers()[0] == "cm1"
+        assert sellers(trace)[0] == "cm1"
 
 
 class TestNormalizedScore:
@@ -294,9 +307,13 @@ class TestParamsValidation:
         with pytest.raises(InvalidArgument):
             ReputationParams(trusted_discount=0.5)
         with pytest.raises(InvalidArgument):
-            ReputationParams(untrusted_discount=2.0)
-        with pytest.raises(InvalidArgument):
             ReputationParams(penalty_form="other")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["decrease_rate", "trusted_discount"])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(InvalidArgument, match="finite"):
+            ReputationParams(**{field: value})
 
 
 class TestRandomizedInvariants:

@@ -3,7 +3,7 @@ import pytest
 
 from chipchain.domain import Money, Role
 from chipchain.errors import InvalidConfig
-from chipchain.ledger import PartKind, PartStatus
+from chipchain.ledger import PartKind, PartStatus, load_log_records
 from chipchain.reputation import ReputationEngine, ReputationParams
 from chipchain.simulator import (
     BehaviorProfile,
@@ -11,10 +11,8 @@ from chipchain.simulator import (
     assign_behaviors,
     build_topology,
     generate_stream,
-    load_events,
     replay,
     sample_defect,
-    save_events,
 )
 
 SMALL = SimConfig(
@@ -139,9 +137,9 @@ class TestSampleDefect:
 class TestGenerateStream:
     def test_exact_transfer_budget(self):
         topo = build_topology(SMALL)
-        events = list(generate_stream(topo, SMALL))
-        xfers = [e for e in events if e["ev"] == "xfer"]
-        assert len(xfers) == SMALL.n_transactions
+        ops = [rec[0] for rec in generate_stream(topo, SMALL)]
+        assert ops.count("transfer") == SMALL.n_transactions
+        assert ops.count("confirm") == SMALL.n_transactions
 
     def test_bit_identical_streams(self):
         topo = build_topology(SMALL)
@@ -169,8 +167,8 @@ class TestGenerateStream:
             rng_seed=0,
         )
         topo = build_topology(cfg)
-        xfers = [e for e in generate_stream(topo, cfg) if e["ev"] == "xfer"]
-        assert [e["amounts"][0] for e in xfers[:3]] == [
+        xfers = [rec for rec in generate_stream(topo, cfg) if rec[0] == "transfer"]
+        assert [rec[6][0] for rec in xfers[:3]] == [
             pytest.approx(100.0),
             pytest.approx(110.0),
             pytest.approx(121.0),
@@ -244,11 +242,53 @@ class TestReplay:
 
     def test_round_trip_through_file(self, tmp_path):
         topo = build_topology(SMALL)
-        path = tmp_path / "events.ndjson"
-        save_events(generate_stream(topo, SMALL), path)
+        path = tmp_path / "ledger.ndjson"
         direct = replay(generate_stream(topo, SMALL))
-        from_file = replay(load_events(path))
+        direct.ledger.save_log(path)
+        from_file = replay(load_log_records(path))
         assert direct.ledger.state_json() == from_file.ledger.state_json()
+
+
+#: Many defects (so many adjudications, chiplet and IC) and many chain crossings.
+DEFECT_HEAVY = SimConfig(
+    chiplet_mfrs=4,
+    chiplet_dists=8,
+    ic_mfrs=3,
+    ic_dists=6,
+    si_count=3,
+    chains=(("TC-1", True), ("TC-2", True), ("UC-1", False)),
+    n_transactions=1_500,
+    cross_chain_prob=0.8,
+    rng_seed=3,
+)
+
+
+class TestRecordContract:
+    """A generated stream is the ledger log it produces, record for record."""
+
+    @pytest.mark.parametrize("cfg", [SMALL, DEFECT_HEAVY], ids=["small", "defect_heavy"])
+    def test_stream_equals_its_log(self, cfg):
+        topo = build_topology(cfg)
+        behaviors = None
+        if cfg is DEFECT_HEAVY:
+            behaviors = assign_behaviors(topo, uniform_p=0.1, per_chain={"UC-1": 0.4})
+        stream = list(generate_stream(topo, cfg, behaviors))
+        result = replay(generate_stream(topo, cfg, behaviors), engines=[make_engine(topo)])
+        assert stream == list(result.ledger.log_records())
+        assert [rec[0] for rec in stream].count("adjudicate") == len(result.traces)
+
+    def test_defect_heavy_world_crosses_chains_and_fails_ics(self):
+        topo = build_topology(DEFECT_HEAVY)
+        behaviors = assign_behaviors(topo, uniform_p=0.1, per_chain={"UC-1": 0.4})
+        result = replay(generate_stream(topo, DEFECT_HEAVY, behaviors))
+        ledger = result.ledger
+        crossings = sum(1 for t in ledger.transactions if t.via_meta)
+        assert crossings > len(ledger.transactions) // 3
+        failed_kinds = {
+            ledger.part_type(ledger.part(h).part_type).kind
+            for rec in ledger.log_records() if rec[0] == "adjudicate" for h in rec[3]
+        }
+        assert failed_kinds == {PartKind.CHIPLET, PartKind.IC}
 
 
 class TestConfigValidation:
