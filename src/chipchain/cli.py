@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from .domain import Money
-from .errors import ChipchainError, InvalidConfig
+from .errors import ChipchainError, InvalidConfig, NotFound
 from .harness import (
     ATTACK_DECREASE_RATE,
     BASIC_DEFECT_PROBS,
@@ -32,18 +32,17 @@ from .harness import (
     DEFAULT_STRIDE,
     ORACLE_TOLERANCE,
     TRUSTED_DEFECT_PROB,
-    UNTRUSTED_DEFECT_PROB,
+    EndToEndResult,
     oracle_max_deviation,
     run_attack,
     run_basic,
     run_end_to_end,
-    write_aggregate_csv,
     write_scores_csv,
     write_traces,
 )
 from .ledger import Ledger, load_log_records
 from .reputation import ObserverView, ReputationEngine, ReputationParams, normalized_score
-from .simulator import SimConfig, assign_behaviors, build_topology, generate_stream, replay
+from .simulator import SimConfig, assign_behaviors, build_topology, replay
 
 
 def load_config(path: str | None, seed: int | None) -> tuple[SimConfig, dict, ReputationParams]:
@@ -70,10 +69,8 @@ def load_config(path: str | None, seed: int | None) -> tuple[SimConfig, dict, Re
     return cfg, dict(raw.get("behaviors", {})), params
 
 
-def build_behaviors(topology, cfg: SimConfig, spec: dict):
-    if not spec:
-        per_chain = {c: UNTRUSTED_DEFECT_PROB for c, trusted in cfg.chains if not trusted}
-        return assign_behaviors(topology, uniform_p=TRUSTED_DEFECT_PROB, per_chain=per_chain)
+def build_behaviors(topology, spec: dict):
+    """Behavior profiles from a config's ``behaviors`` section."""
     sleepers = {k: tuple(v) for k, v in spec.get("sleepers", {}).items()}
     return assign_behaviors(
         topology,
@@ -109,19 +106,30 @@ def _add_view_flags(parser: argparse.ArgumentParser, default_m: float = 0.1) -> 
     parser.add_argument("--observer", help="observer chain (default: first trusted)")
 
 
-def cmd_simulate(args) -> int:
+def _run_config(args, out_dir: Path | None = None) -> tuple[SimConfig, EndToEndResult]:
+    """Run the world of ``--config`` and ``--seed`` through ``run_end_to_end``.
+
+    Without a ``behaviors`` section the run keeps ``run_end_to_end``'s
+    default behaviors.
+    """
     cfg, behavior_spec, params = load_config(args.config, args.seed)
+    behaviors = build_behaviors(build_topology(cfg), behavior_spec) if behavior_spec else None
+    result = run_end_to_end(
+        cfg, behaviors=behaviors, params=params, stride=args.stride, out_dir=out_dir
+    )
+    return cfg, result
+
+
+def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    topology = build_topology(cfg)
-    behaviors = build_behaviors(topology, cfg, behavior_spec)
-    engine = ReputationEngine(topology.view, params)
-    result = replay(
-        generate_stream(topology, cfg, behaviors), engines=[engine], sample_stride=args.stride
+    cfg, result = _run_config(args)
+    params = result.engine.params
+    result.replay.ledger.save_log(out / "ledger.ndjson")
+    write_scores_csv(
+        out / "scores.csv", result.engine, {"seed": cfg.rng_seed, "n": cfg.n_transactions}
     )
-    result.ledger.save_log(out / "ledger.ndjson")
-    write_scores_csv(out / "scores.csv", engine, {"seed": cfg.rng_seed, "n": cfg.n_transactions})
-    write_traces(out / "penalties.ndjson", result.traces)
+    write_traces(out / "penalties.ndjson", result.replay.traces)
     sim_manifest = {
         k: v
         for k, v in dataclasses.asdict(cfg).items()
@@ -143,41 +151,29 @@ def cmd_simulate(args) -> int:
             "penalty_form": params.penalty_form,
         },
         "view": {
-            "observer_chain": topology.view.observer_chain,
-            "trusted_chains": sorted(topology.view.trusted_chains),
+            "observer_chain": result.topology.view.observer_chain,
+            "trusted_chains": sorted(result.topology.view.trusted_chains),
         },
     }
     with open(out / "run.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"simulated {result.txn_count} transactions -> {out}")
+    print(f"simulated {result.replay.txn_count} transactions -> {out}")
     return 0
 
 
 def cmd_basic(args) -> int:
     m_values = args.m if args.m else list(BASIC_M_VALUES)
     probs = args.defect_prob if args.defect_prob else list(BASIC_DEFECT_PROBS)
-    curves = run_basic(
-        m_values, probs, args.n, args.seed, out_dir=args.out,
-        stride=args.stride, backend=args.backend,
-    )
+    curves = run_basic(m_values, probs, args.n, args.seed, out_dir=args.out, stride=args.stride)
     for (m, p), series in sorted(curves.items()):
         print(f"m={m:g} p={p:g} final_normalized={series.final_normalized():.6f}")
     return 0
 
 
 def cmd_end_to_end(args) -> int:
-    cfg, behavior_spec, params = load_config(args.config, args.seed)
-    topology = build_topology(cfg)
-    behaviors = build_behaviors(topology, cfg, behavior_spec) if behavior_spec else None
-    result = run_end_to_end(cfg, behaviors=behaviors, params=params, stride=args.stride)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_aggregate_csv(
-        out / f"end_to_end_seed{cfg.rng_seed}.csv",
-        result.aggregate,
-        {"n": cfg.n_transactions, "seed": cfg.rng_seed},
-    )
+    cfg, result = _run_config(args, out_dir=out)
     result.replay.ledger.save_log(out / "ledger.ndjson")
     write_scores_csv(out / "scores.csv", result.engine, {"seed": cfg.rng_seed})
     for chain, mean in result.consortium_final_normalized().items():
@@ -195,23 +191,16 @@ def cmd_attack(args) -> int:
     return 0
 
 
-def _log_and_engine(args) -> tuple[list[tuple], ReputationEngine]:
-    """The records of ``--log`` and a fresh engine for the flagged view."""
+def _replay_log(args) -> tuple[list[tuple], ReputationEngine, Ledger]:
+    """The records of ``--log``, replayed into a fresh engine for the flagged view."""
     records = load_log_records(args.log)
     chains = [rec[1] for rec in records if rec[0] == "chain"]
-    view = view_from_flags(args, chains or ["main"])
-    return records, ReputationEngine(view, params_from_flags(args))
-
-
-def _engine_from_log(args) -> tuple[ReputationEngine, list[tuple]]:
-    records, engine = _log_and_engine(args)
-    Ledger.replay(records, observers=[engine])  # the ledger itself is not kept
-    return engine, records
+    engine = ReputationEngine(view_from_flags(args, chains or ["main"]), params_from_flags(args))
+    return records, engine, replay(records, engine).ledger
 
 
 def cmd_replay(args) -> int:
-    records, engine = _log_and_engine(args)
-    ledger = Ledger.replay(records, observers=[engine])
+    records, engine, ledger = _replay_log(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ledger.save_log(out / "ledger.ndjson")
@@ -221,11 +210,10 @@ def cmd_replay(args) -> int:
 
 
 def cmd_score(args) -> int:
-    engine, _ = _engine_from_log(args)
+    engine = _replay_log(args)[1]
     entity = engine.entities.get(args.entity)
     if entity is None:
-        print(f"unknown entity {args.entity!r}", file=sys.stderr)
-        return 1
+        raise NotFound(f"unknown entity {args.entity!r}")
     rep = engine.reputation(args.entity)
     print(
         json.dumps(
@@ -244,7 +232,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_verify_oracle(args) -> int:
-    engine, records = _engine_from_log(args)
+    # The replayed ledger is dropped here, not kept alive through the oracle.
+    records, engine = _replay_log(args)[:2]
     deviation = oracle_max_deviation(engine, records)
     print(f"max_relative_deviation={deviation:.3e} tolerance={ORACLE_TOLERANCE:.0e}")
     return 0 if deviation <= ORACLE_TOLERANCE else 1
@@ -273,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", help="output directory for CSVs")
     p.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
-    p.add_argument("--backend", choices=["closed_form", "ledger"], default="closed_form")
     p.set_defaults(func=cmd_basic)
 
     p = sub.add_parser("end-to-end", help="full supply-chain simulation")

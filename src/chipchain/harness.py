@@ -4,11 +4,11 @@ Three experiment families are covered:
 
   basic       one manufacturer sells one unit-price part per transaction with
               immediate verification, swept over decrease rates and defect
-              probabilities. The default backend folds the recurrence in
-              closed form between defect events (reputation grows linearly
-              while nothing fails), which keeps million-transaction curves in
-              the millisecond range; a ledger backend drives the same scenario
-              through the full machinery and must agree.
+              probabilities. The recurrence is folded in closed form between
+              defect events (reputation grows linearly while nothing fails),
+              which keeps million-transaction curves in the millisecond range;
+              tests cross-check the fold against the same scenario driven
+              through the full ledger.
   end_to_end  full pipeline: build a population, generate a stream, replay it
               against a ledger with a reputation engine attached, and
               aggregate reputation by consortium and role.
@@ -115,20 +115,18 @@ def _sample_positions(n: int, stride: int) -> np.ndarray:
 
 
 def fold_single_seller(
-    mask: np.ndarray,
-    decrease_rate: float,
-    stride: int = DEFAULT_STRIDE,
-    penalty_form: str = "rate",
+    mask: np.ndarray, decrease_rate: float, stride: int = DEFAULT_STRIDE
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sampled (txn_index, r, normalized) for one seller, folded in closed form.
 
     Per transaction the seller either gains 1 (pass) or has r divided by the
-    penalty divisor (fail); the ideal reputation is the transaction index.
+    rate-form divisor 1 + decrease_rate (fail); the ideal reputation is the
+    transaction index.
     Between failures r grows linearly, so only failure and sample positions
     need visiting.
     """
     n = len(mask)
-    divisor = decrease_rate if penalty_form == "raw" else 1.0 + decrease_rate
+    divisor = 1.0 + decrease_rate
     defects = np.flatnonzero(mask) + 1  # 1-based transaction positions
     samples = _sample_positions(n, stride)
     out = np.empty(len(samples), dtype=np.float64)
@@ -149,11 +147,9 @@ def fold_single_seller(
     return samples, out, out / samples
 
 
-def naive_single_seller(
-    mask: np.ndarray, decrease_rate: float, penalty_form: str = "rate"
-) -> np.ndarray:
+def naive_single_seller(mask: np.ndarray, decrease_rate: float) -> np.ndarray:
     """Reference per-transaction loop for the fold; returns r after every txn."""
-    divisor = decrease_rate if penalty_form == "raw" else 1.0 + decrease_rate
+    divisor = 1.0 + decrease_rate
     r = 0.0
     out = np.empty(len(mask), dtype=np.float64)
     for t, bad in enumerate(mask):
@@ -165,8 +161,10 @@ def naive_single_seller(
     return out
 
 
-def basic_world(decrease_rate: float, penalty_form: str = "rate") -> tuple[Ledger, ReputationEngine]:
-    """Minimal one-manufacturer world for ledger-backed single-seller runs."""
+def ledger_single_seller(
+    mask: np.ndarray, decrease_rate: float, stride: int = DEFAULT_STRIDE
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Ledger]:
+    """Drive the basic scenario through the full ledger; slow, the fold's reference."""
     ledger = Ledger()
     ledger.add_chain("main")
     ledger.add_entity(Entity("maker", Role.CHIPLET_MANUFACTURER, "main"))
@@ -174,19 +172,7 @@ def basic_world(decrease_rate: float, penalty_form: str = "rate") -> tuple[Ledge
     ledger.add_entity(Entity("ta@main", Role.TRUSTED_AUTHORITY, "main"))
     ledger.register_chiplet_type("maker", "part")
     view = ObserverView("main", frozenset({"main"}))
-    params = ReputationParams(decrease_rate=decrease_rate, penalty_form=penalty_form)
-    engine = ledger.attach(ReputationEngine(view, params))
-    return ledger, engine
-
-
-def ledger_single_seller(
-    mask: np.ndarray,
-    decrease_rate: float,
-    stride: int = DEFAULT_STRIDE,
-    penalty_form: str = "rate",
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, Ledger]:
-    """Drive the basic scenario through the full ledger; slow, used as a cross-check."""
-    ledger, engine = basic_world(decrease_rate, penalty_form)
+    engine = ledger.attach(ReputationEngine(view, ReputationParams(decrease_rate=decrease_rate)))
     samples = _sample_positions(len(mask), stride)
     out_r = np.empty(len(samples))
     out_norm = np.empty(len(samples))
@@ -214,16 +200,9 @@ def basic_curve(
     n_txn: int,
     seed: int,
     stride: int = DEFAULT_STRIDE,
-    backend: str = "closed_form",
 ) -> Series:
     """One basic-simulation trajectory for a (decrease rate, defect prob) cell."""
-    mask = defect_mask(n_txn, defect_prob, seed)
-    if backend == "closed_form":
-        idx, r, norm = fold_single_seller(mask, decrease_rate, stride)
-    elif backend == "ledger":
-        idx, r, norm, _ = ledger_single_seller(mask, decrease_rate, stride)
-    else:
-        raise InvalidConfig(f"unknown basic backend {backend!r}")
+    idx, r, norm = fold_single_seller(defect_mask(n_txn, defect_prob, seed), decrease_rate, stride)
     label = f"m={decrease_rate:g} p={defect_prob:g}"
     meta = {"m": decrease_rate, "defect_prob": defect_prob, "seed": seed, "n": n_txn}
     return Series(label, idx, r, norm, meta)
@@ -236,7 +215,6 @@ def run_basic(
     seed: int,
     out_dir: str | Path | None = None,
     stride: int = DEFAULT_STRIDE,
-    backend: str = "closed_form",
 ) -> dict[tuple[float, float], Series]:
     """Sweep the (decrease rate, defect prob) grid; one CSV per cell if out_dir given."""
     if not m_values or not defect_probs:
@@ -246,7 +224,7 @@ def run_basic(
     curves = {}
     for m in m_values:
         for p in defect_probs:
-            series = basic_curve(m, p, n_txn, seed, stride, backend)
+            series = basic_curve(m, p, n_txn, seed, stride)
             curves[(m, p)] = series
             if out_dir is not None:
                 path = Path(out_dir) / f"basic_m{m:g}_p{p:g}_seed{seed}.csv"
@@ -316,11 +294,7 @@ class EndToEndResult:
     topology: Topology
     replay: ReplayResult
     aggregate: AggregateSeries
-    params: ReputationParams
-
-    @property
-    def engine(self) -> ReputationEngine:
-        return self.replay.engines[0]
+    engine: ReputationEngine
 
     def consortium_final_normalized(self) -> dict[str, float]:
         """Mean final normalized score per consortium over selling roles."""
@@ -375,13 +349,9 @@ def run_end_to_end(
         per_chain = {chain: UNTRUSTED_DEFECT_PROB for chain, trusted in cfg.chains if not trusted}
         behaviors = assign_behaviors(topology, uniform_p=TRUSTED_DEFECT_PROB, per_chain=per_chain)
     engine = ReputationEngine(topology.view, params)
-    result = replay(
-        generate_stream(topology, cfg, behaviors),
-        engines=[engine],
-        sample_stride=stride,
-    )
+    result = replay(generate_stream(topology, cfg, behaviors), engine, sample_stride=stride)
     aggregate = aggregate_by_consortium(result, topology)
-    out = EndToEndResult(topology, result, aggregate, params)
+    out = EndToEndResult(topology, result, aggregate, engine)
     if out_dir is not None:
         write_aggregate_csv(
             Path(out_dir) / f"end_to_end_seed{cfg.rng_seed}.csv",

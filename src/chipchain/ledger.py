@@ -693,20 +693,22 @@ class Ledger:
         """Apply one log record through the public (validating) API.
 
         Returns the ``AdjudicationResult`` of an adjudicate record, else None.
+        A field that names no role or part kind, or holds no valid amount,
+        raises ``InvalidArgument``.
         """
         op = rec[0]
         if op == "chain":
             self.add_chain(rec[1])
         elif op == "entity":
-            self.add_entity(Entity(rec[1], Role(rec[2]), rec[3]))
+            self.add_entity(Entity(rec[1], _field(Role, rec[2]), rec[3]))
         elif op == "type":
-            self._register_type(rec[3], rec[1], PartKind(rec[2]))
+            self._register_type(rec[3], rec[1], _field(PartKind, rec[2]))
         elif op == "devices":
             self.register_devices(rec[1], rec[2], rec[3])
         elif op == "transfer":
             _, kind, part_type, src, dst, ids, amounts, currency = rec
-            prices = [Money(a, currency) for a in amounts]
-            self._transfer(PartKind(kind), src, part_type, len(ids), ids, prices, dst)
+            prices = [_field(Money, a, currency) for a in amounts]
+            self._transfer(_field(PartKind, kind), src, part_type, len(ids), ids, prices, dst)
         elif op == "confirm":
             self.confirm_transfer(rec[1], rec[2], len(rec[3]), rec[3])
         elif op == "reject":
@@ -721,33 +723,17 @@ class Ledger:
             raise InvalidArgument(f"unknown log operation {op!r}")
         return None
 
-    @classmethod
-    def replay(
-        cls,
-        records: Iterable[tuple],
-        exchange: ExchangeTable = STANDARD_TABLE,
-        observers: Sequence[ReputationEngine] = (),
-    ) -> "Ledger":
-        """Rebuild a ledger (and any attached engines) from an operation log."""
-        ledger = cls(exchange=exchange)
-        for engine in observers:
-            ledger.attach(engine)
-        for rec in records:
-            ledger.apply_record(rec)
-        return ledger
-
-    @classmethod
-    def from_log_file(
-        cls,
-        path,
-        exchange: ExchangeTable = STANDARD_TABLE,
-        observers: Sequence[ReputationEngine] = (),
-    ) -> "Ledger":
-        return cls.replay(load_log_records(path), exchange=exchange, observers=observers)
-
 
 #: Compact encoder for log lines, built once rather than per record.
 _encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _field(build, *args):
+    """``build(*args)`` over log record fields; a bad value is an ``InvalidArgument``."""
+    try:
+        return build(*args)
+    except (ValueError, TypeError) as exc:
+        raise InvalidArgument(f"malformed log field: {exc}") from None
 
 
 def _record_to_obj(rec: tuple) -> dict:
@@ -829,25 +815,30 @@ def _obj_to_record(obj: dict) -> tuple:
 def load_log_records(path) -> list[tuple]:
     """Parse a newline-delimited ledger log file back into records.
 
-    A line that is not a well-formed record raises ``InvalidArgument`` naming
-    ``path:line``.
+    A line that is not UTF-8 or not a well-formed record raises
+    ``InvalidArgument`` naming ``path:line``.
     """
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line:
-                try:
-                    records.append(_obj_to_record(json.loads(line)))
-                except (ValueError, TypeError, KeyError, AttributeError, InvalidArgument) as exc:
-                    raise InvalidArgument(f"{path}:{lineno}: {_line_error(line, exc)}") from None
+    obj = None
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if line:
+                    obj = json.loads(line)
+                    records.append(_obj_to_record(obj))
+            except (ValueError, TypeError, KeyError, AttributeError, InvalidArgument) as exc:
+                raise InvalidArgument(f"{path}:{lineno}: {_line_error(obj, exc)}") from None
     return records
 
 
-def _line_error(line: str, exc: Exception) -> str:
+def _line_error(obj, exc: Exception) -> str:
+    """Diagnostic for a failed line; ``obj`` is its JSON value once that has decoded."""
+    if isinstance(exc, UnicodeDecodeError):
+        return f"not valid UTF-8 at byte {exc.start}"
     if isinstance(exc, json.JSONDecodeError):
         return f"invalid JSON: {exc.msg} at column {exc.colno}"
-    if not isinstance(json.loads(line), dict):
+    if not isinstance(obj, dict):
         return "log line is not a JSON object"
     if isinstance(exc, KeyError):
         return f"log record lacks field {exc.args[0]!r}"

@@ -191,6 +191,17 @@ class ReputationEngine:
     def known_entities(self) -> list[EntityId]:
         return sorted(self._rep)
 
+    def sample(self, ids: Iterable[EntityId]) -> tuple[list[float], list[float]]:
+        """The r and normalized rows of ``ids``; an unseen id reads 0.0 and 1.0."""
+        reps = self._rep
+        row_r: list[float] = []
+        row_norm: list[float] = []
+        for entity_id in ids:
+            rep = reps.get(entity_id, _ZERO_REP)
+            row_r.append(rep.r)
+            row_norm.append(1.0 if rep.r_ideal == 0 else rep.r / rep.r_ideal)
+        return row_r, row_norm
+
     # -- lifecycle notifications --------------------------------------------
 
     def _get(self, entity_id: EntityId) -> EntityReputation:

@@ -24,14 +24,14 @@ so a saved log replays without regeneration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .domain import ChainId, Entity, EntityId, Money, Role, hash_device_id
 from .errors import InvalidConfig
-from .ledger import Ledger, PartKind, PartStatus
+from .ledger import Ledger, PartKind
 from .reputation import ObserverView, PenaltyTrace, ReputationEngine
 
 _ROLE_PREFIX = {
@@ -396,31 +396,30 @@ class ReplayResult:
     """Final world state, reputation samples taken at a stride, and penalty traces."""
 
     ledger: Ledger
-    engines: list[ReputationEngine]
     txn_count: int
     sample_indices: np.ndarray
     sample_entities: list[EntityId]
     sample_r: np.ndarray
     sample_norm: np.ndarray
-    in_flight: set[str] = field(default_factory=set)
-    traces: list[PenaltyTrace] = field(default_factory=list)
+    traces: list[PenaltyTrace]
 
 
 def replay(
     records: Iterable[tuple],
-    engines: Sequence[ReputationEngine] = (),
+    engine: ReputationEngine | None = None,
     sample_stride: int = 0,
 ) -> ReplayResult:
     """Apply log records to a fresh ledger, sampling reputation as it goes.
 
-    Samples are taken from the first engine each time the running count of
-    confirm records hits a multiple of ``sample_stride`` (plus once at stream
-    end), for every non-meta entity known at the first sample.
+    This is the one way a log becomes a ledger. With an engine attached and a
+    nonzero ``sample_stride``, the engine is sampled each time the running
+    count of confirm records hits a multiple of the stride (plus once at
+    stream end), for every non-meta entity known at the first sample.
     """
     ledger = Ledger()
-    engines = list(engines)
-    for engine in engines:
+    if engine is not None:
         ledger.attach(engine)
+    sampling = engine is not None and sample_stride != 0
 
     txn_count = 0
     traces: list[PenaltyTrace] = []
@@ -430,59 +429,35 @@ def replay(
     rows_norm: list[list[float]] = []
 
     def snapshot() -> None:
-        if not engines:
-            return
-        engine = engines[0]
         if not indices:
             columns.extend(
                 sorted(e for e, ent in ledger.entities.items() if ent.role is not Role.META_ENTITY)
             )
         indices.append(txn_count)
-        reps = engine._rep
-        row_r = []
-        row_n = []
-        for eid in columns:
-            rep = reps.get(eid)
-            if rep is None:
-                row_r.append(0.0)
-                row_n.append(1.0)
-            else:
-                row_r.append(rep.r)
-                row_n.append(1.0 if rep.r_ideal == 0 else rep.r / rep.r_ideal)
+        row_r, row_norm = engine.sample(columns)
         rows_r.append(row_r)
-        rows_norm.append(row_n)
+        rows_norm.append(row_norm)
 
     apply = ledger.apply_record
     for rec in records:
         outcome = apply(rec)
         if rec[0] == "confirm":
             txn_count += 1
-            if sample_stride and txn_count % sample_stride == 0:
+            if sampling and txn_count % sample_stride == 0:
                 snapshot()
         elif outcome is not None:
             traces.extend(outcome.traces)
 
-    if sample_stride and (not indices or indices[-1] != txn_count):
+    if sampling and (not indices or indices[-1] != txn_count):
         snapshot()
-
-    in_flight = set()
-    terminal_ic = {PartStatus.VERIFIED_OK, PartStatus.DEFECTIVE}
-    terminal_chiplet = {PartStatus.CONSUMED, PartStatus.DEFECTIVE}
-    for hid, part in ledger.parts.items():
-        kind = ledger.part_type(part.part_type).kind
-        terminal = terminal_ic if kind is PartKind.IC else terminal_chiplet
-        if part.status not in terminal:
-            in_flight.add(hid)
 
     n_cols = len(columns)
     return ReplayResult(
         ledger=ledger,
-        engines=engines,
         txn_count=txn_count,
         sample_indices=np.asarray(indices, dtype=np.int64),
         sample_entities=columns,
         sample_r=np.asarray(rows_r, dtype=np.float64).reshape(len(indices), n_cols),
         sample_norm=np.asarray(rows_norm, dtype=np.float64).reshape(len(indices), n_cols),
-        in_flight=in_flight,
         traces=traces,
     )

@@ -321,7 +321,7 @@ def tiny_logs():
     )
     topo = build_topology(cfg)
     engine = ReputationEngine(topo.view, ReputationParams(decrease_rate=0.3))
-    result = replay(generate_stream(topo, cfg), engines=[engine])
+    result = replay(generate_stream(topo, cfg), engine=engine)
     dev_sim = oracle_max_deviation(engine, result.ledger.log_records())
 
     mask = np.random.Generator(np.random.PCG64(5)).random(400) < 0.1
@@ -373,7 +373,7 @@ def test_criterion_6_replay_two_phase_verify_and_roles():
     topo = build_topology(cfg)
     result = replay(generate_stream(topo, cfg))
     ledger = result.ledger
-    replay_ok = Ledger.replay(ledger.log_records()).state_json() == ledger.state_json()
+    replay_ok = replay(ledger.log_records()).ledger.state_json() == ledger.state_json()
 
     two_phase_ok = _two_phase_holds()
     verify_ok = _verify_is_effect_free(ledger)

@@ -59,13 +59,6 @@ class TestBasicCommand:
         assert (tmp_path / "basic_m0.01_p0.01_seed7.csv").exists()
         assert "final_normalized" in capsys.readouterr().out
 
-    def test_ledger_backend(self, tmp_path):
-        code = run(
-            ["basic", "--m", "0.05", "--defect-prob", "0.1", "--n", "300",
-             "--seed", "1", "--out", tmp_path, "--backend", "ledger", "--stride", "100"]
-        )
-        assert code == 0
-
 
 class TestAttackCommand:
     def test_happy_path(self, tmp_path, capsys):
@@ -135,11 +128,13 @@ class TestSimulatePipeline:
     def test_score_unknown_entity_fails(self, tmp_path, config_file, capsys):
         out = tmp_path / "run"
         run(["simulate", "--config", config_file, "--out", out])
+        capsys.readouterr()
         code = run(
             ["score", "--log", out / "ledger.ndjson", "--entity", "ghost",
              "--trusted-chains", "TC-1"]
         )
         assert code == 1
+        assert capsys.readouterr().err == "error: unknown entity 'ghost'\n"
 
     def test_seed_override_changes_stream(self, tmp_path, config_file):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -183,6 +178,16 @@ class TestEndToEndCommand:
 
 VALID_PREFIX = '{"op":"chain","id":"TB"}\n{"op":"entity","id":"ta","role":"TA","chain":"TB"}\n'
 
+#: A chiplet sale whose amount is a string: every field is present, one value is bad.
+STRING_AMOUNT = [
+    '{"op":"entity","id":"cm","role":"CM","chain":"TB"}',
+    '{"op":"entity","id":"cd","role":"CD","chain":"TB"}',
+    '{"op":"type","name":"t","kind":"chiplet","maker":"cm"}',
+    '{"op":"devices","maker":"cm","type":"t","ids":["%s"]}' % ("a" * 64),
+    '{"op":"transfer","kind":"chiplet","type":"t","src":"cm","dst":"cd",'
+    '"ids":["%s"],"amounts":["5"],"currency":"STD"}' % ("a" * 64),
+]
+
 
 class TestMalformedLogs:
     """A malformed log ends in exit 1 and a one-line diagnostic, never a traceback."""
@@ -198,16 +203,17 @@ class TestMalformedLogs:
     @pytest.mark.parametrize(
         "line, message",
         [
-            ('{"op":"entity",', "invalid JSON"),
-            ("[1, 2, 3]", "not a JSON object"),
-            ('{"op":"meta","src":"TB","dst":"UB"}', "unknown log operation 'meta'"),
-            ('{"op":"chain"}', "lacks field 'id'"),
+            (b'{"op":"entity",', "invalid JSON"),
+            (b"[1, 2, 3]", "not a JSON object"),
+            (b'{"op":"meta","src":"TB","dst":"UB"}', "unknown log operation 'meta'"),
+            (b'{"op":"chain"}', "lacks field 'id'"),
+            (b'{"op":"chain","id":"\xff\xfe"}', "not valid UTF-8"),
         ],
-        ids=["bad_json", "not_object", "unknown_op", "missing_field"],
+        ids=["bad_json", "not_object", "unknown_op", "missing_field", "bad_utf8"],
     )
     def test_decode_errors_name_path_and_line(self, tmp_path, capsys, command, line, message):
         log = tmp_path / "bad.ndjson"
-        log.write_text(VALID_PREFIX + line + "\n")
+        log.write_bytes(VALID_PREFIX.encode() + line + b"\n")
         assert run(self.argv(command, log, tmp_path)) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
@@ -225,6 +231,26 @@ class TestMalformedLogs:
         assert run(self.argv(command, log, tmp_path)) == 1
         err = capsys.readouterr().err
         assert err == "error: unknown report 'R000001'\n"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (['{"op":"entity","id":"x","role":"BOGUS","chain":"TB"}'], "'BOGUS' is not a valid"),
+            (['{"op":"type","name":"t","kind":"gizmo","maker":"cm"}'], "'gizmo' is not a valid"),
+            (STRING_AMOUNT, "must be real number, not str"),
+        ],
+        ids=["bad_role", "bad_kind", "string_amount"],
+    )
+    def test_bad_field_values_are_diagnosed(self, tmp_path, capsys, command, lines, message):
+        log = tmp_path / "bad_field.ndjson"
+        log.write_text(VALID_PREFIX + "".join(line + "\n" for line in lines))
+        assert run(self.argv(command, log, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: malformed log field: ")
+        assert message in err
+        assert "Traceback" not in err
 
 
 #: A small world with defects (chiplet and IC) and frequent chain crossings.

@@ -20,6 +20,7 @@ from chipchain.ledger import (
     load_log_records,
 )
 from chipchain.reputation import ObserverView, ReputationEngine, ReputationParams
+from chipchain.simulator import replay
 
 
 def hid(label: str) -> str:
@@ -511,7 +512,7 @@ class TestReplayDeterminism:
         ledger, _, chiplet, ic = fig_path_world()
         rid = ledger.report("si1", [ic], 1)
         ledger.adjudicate("ta-tb", rid, [ic], defect_origins={ic: chiplet})
-        replayed = Ledger.replay(ledger.log_records())
+        replayed = replay(ledger.log_records()).ledger
         assert replayed.state_json() == ledger.state_json()
         assert list(replayed.log_lines()) == list(ledger.log_lines())
 
@@ -519,7 +520,7 @@ class TestReplayDeterminism:
         ledger, _, chiplet, ic = fig_path_world()
         path = tmp_path / "ledger.ndjson"
         ledger.save_log(path)
-        restored = Ledger.from_log_file(path)
+        restored = replay(load_log_records(path)).ledger
         assert restored.state_json() == ledger.state_json()
 
     def test_replayed_engine_matches_live(self):
@@ -529,7 +530,7 @@ class TestReplayDeterminism:
         rid = ledger.report("si1", [ic], 1)
         ledger.adjudicate("ta-tb", rid, [ic], defect_origins={ic: chiplet})
         fresh = ReputationEngine(view, params)
-        Ledger.replay(ledger.log_records(), observers=[fresh])
+        replay(ledger.log_records(), fresh)
         for eid in live.known_entities():
             assert fresh.reputation(eid) == live.reputation(eid)
 

@@ -21,6 +21,7 @@ from chipchain.reputation import (
     ReputationParams,
     normalized_score,
 )
+from chipchain.simulator import replay
 
 CHAINS = ("TB", "UB-1", "UB-2")
 ROLE_POP = {
@@ -204,7 +205,7 @@ def run_soup(ledger, entities, types, rng, steps):
 def test_soup_replay_is_byte_identical(seed):
     ledger, _, entities, types = build_soup_world()
     run_soup(ledger, entities, types, random.Random(seed), steps=400)
-    replayed = Ledger.replay(ledger.log_records())
+    replayed = replay(ledger.log_records()).ledger
     assert replayed.state_json() == ledger.state_json()
     assert list(replayed.log_lines()) == list(ledger.log_lines())
 
@@ -268,5 +269,5 @@ def test_oracle_equivalence_under_multiple_views():
         view = ObserverView("TB", frozenset(trusted))
         params = ReputationParams(decrease_rate=0.4, trusted_discount=2.0)
         engine = ReputationEngine(view, params)
-        Ledger.replay(records, observers=[engine])
+        replay(records, engine)
         assert oracle_max_deviation(engine, records) <= 1e-9

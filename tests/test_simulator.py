@@ -31,6 +31,18 @@ def make_engine(topology):
     return ReputationEngine(topology.view, ReputationParams(decrease_rate=1.0))
 
 
+def in_flight(ledger):
+    """Ids of parts whose lifecycle has not ended: not consumed, verified or defective."""
+    terminal = {
+        PartKind.CHIPLET: {PartStatus.CONSUMED, PartStatus.DEFECTIVE},
+        PartKind.IC: {PartStatus.VERIFIED_OK, PartStatus.DEFECTIVE},
+    }
+    return {
+        h for h, part in ledger.parts.items()
+        if part.status not in terminal[ledger.part_type(part.part_type).kind]
+    }
+
+
 class TestBuildTopology:
     def test_population_counts(self):
         cfg = SimConfig(n_transactions=10)
@@ -176,7 +188,7 @@ class TestGenerateStream:
 
     def test_stream_replays_without_errors(self):
         topo = build_topology(SMALL)
-        result = replay(generate_stream(topo, SMALL), engines=[make_engine(topo)])
+        result = replay(generate_stream(topo, SMALL), engine=make_engine(topo))
         assert result.txn_count == SMALL.n_transactions
 
     def test_missing_profile_rejected(self):
@@ -195,16 +207,17 @@ class TestReplay:
 
     def test_flow_conservation(self):
         topo = build_topology(SMALL)
-        result = replay(generate_stream(topo, SMALL))
-        ledger = result.ledger
-        for h, part in ledger.parts.items():
-            kind = ledger.part_type(part.part_type).kind
-            if kind is PartKind.CHIPLET:
-                terminal = part.status in (PartStatus.CONSUMED, PartStatus.DEFECTIVE)
-            else:
-                terminal = part.status in (PartStatus.VERIFIED_OK, PartStatus.DEFECTIVE)
-            assert terminal or h in result.in_flight
-            assert part.status is not PartStatus.IN_TRANSIT  # pairs are atomic
+        ledger = replay(generate_stream(topo, SMALL)).ledger
+        waiting = [ledger.part(h) for h in in_flight(ledger)]
+        assert all(part.status is not PartStatus.IN_TRANSIT for part in waiting)  # pairs are atomic
+        # Besides the one lifecycle the transfer budget may cut off mid-route,
+        # the parts in flight are verified chiplets pooled at IC manufacturers.
+        mid_route = [part for part in waiting if part.status is PartStatus.OWNED]
+        pooled = [part.owner for part in waiting if part.status is PartStatus.VERIFIED_OK]
+        assert len(mid_route) <= 1
+        assert len(pooled) + len(mid_route) == len(waiting)
+        assert all(ledger.entity(icm).role is Role.IC_MANUFACTURER for icm in pooled)
+        assert all(pooled.count(icm) <= SMALL.chiplets_per_ic for icm in pooled)
 
     def test_cost_monotone_along_paths(self):
         topo = build_topology(SMALL)
@@ -224,7 +237,7 @@ class TestReplay:
         topo = build_topology(SMALL)
         engine = make_engine(topo)
         result = replay(
-            generate_stream(topo, SMALL), engines=[engine], sample_stride=100
+            generate_stream(topo, SMALL), engine=engine, sample_stride=100
         )
         assert list(result.sample_indices) == [100, 200, 300, 400]
         assert result.sample_r.shape == (4, len(result.sample_entities))
@@ -235,7 +248,7 @@ class TestReplay:
         topo = build_topology(SMALL)
         engine = make_engine(topo)
         result = replay(
-            generate_stream(topo, SMALL), engines=[engine], sample_stride=SMALL.n_transactions
+            generate_stream(topo, SMALL), engine=engine, sample_stride=SMALL.n_transactions
         )
         col = result.sample_entities.index("cm001")
         assert result.sample_r[-1, col] == pytest.approx(engine.reputation("cm001").r)
@@ -273,7 +286,7 @@ class TestRecordContract:
         if cfg is DEFECT_HEAVY:
             behaviors = assign_behaviors(topo, uniform_p=0.1, per_chain={"UC-1": 0.4})
         stream = list(generate_stream(topo, cfg, behaviors))
-        result = replay(generate_stream(topo, cfg, behaviors), engines=[make_engine(topo)])
+        result = replay(generate_stream(topo, cfg, behaviors), engine=make_engine(topo))
         assert stream == list(result.ledger.log_records())
         assert [rec[0] for rec in stream].count("adjudicate") == len(result.traces)
 
