@@ -13,7 +13,6 @@ from .domain import (
     ExchangeTable,
     Money,
     Role,
-    cur_convert,
     hash_device_id,
 )
 from .errors import (

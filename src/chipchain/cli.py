@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -31,7 +32,6 @@ from .harness import (
     BASIC_M_VALUES,
     DEFAULT_STRIDE,
     ORACLE_TOLERANCE,
-    TRUSTED_DEFECT_PROB,
     EndToEndResult,
     oracle_max_deviation,
     run_attack,
@@ -41,43 +41,55 @@ from .harness import (
     write_traces,
 )
 from .ledger import Ledger, load_log_records
-from .reputation import ObserverView, ReputationEngine, ReputationParams, normalized_score
+from .reputation import PENALTY_FORMS, ObserverView, ReputationEngine, ReputationParams
 from .simulator import SimConfig, assign_behaviors, build_topology, replay
 
 
-def load_config(path: str | None, seed: int | None) -> tuple[SimConfig, dict, ReputationParams]:
-    """Parse the JSON config file: {"sim": {...}, "behaviors": {...}, "reputation": {...}}."""
-    raw = {}
-    if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    sim_raw = dict(raw.get("sim", {}))
-    if "base_unit_cost" in sim_raw:
-        sim_raw["base_unit_cost"] = Money(**sim_raw["base_unit_cost"])
-    if "chains" in sim_raw:
-        sim_raw["chains"] = tuple((c, bool(t)) for c, t in sim_raw["chains"])
-    if "hop_range" in sim_raw:
-        sim_raw["hop_range"] = tuple(sim_raw["hop_range"])
-    unknown = set(sim_raw) - {f.name for f in dataclasses.fields(SimConfig)}
-    if unknown:
-        raise InvalidConfig(f"unknown sim config keys: {sorted(unknown)}")
-    cfg = SimConfig(**sim_raw)
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, rng_seed=seed)
-    cfg.validate()
-    params = ReputationParams(**raw.get("reputation", {}))
-    return cfg, dict(raw.get("behaviors", {})), params
+#: The keys of each config section: the fields or parameters they set.
+CONFIG_KEYS = {
+    "sim": frozenset(f.name for f in dataclasses.fields(SimConfig)),
+    "behaviors": frozenset(inspect.signature(assign_behaviors).parameters) - {"topology"},
+    "reputation": frozenset(f.name for f in dataclasses.fields(ReputationParams)),
+}
 
 
-def build_behaviors(topology, spec: dict):
-    """Behavior profiles from a config's ``behaviors`` section."""
-    sleepers = {k: tuple(v) for k, v in spec.get("sleepers", {}).items()}
-    return assign_behaviors(
-        topology,
-        uniform_p=spec.get("uniform_p", TRUSTED_DEFECT_PROB),
-        per_chain=spec.get("per_chain"),
-        sleepers=sleepers,
-    )
+def load_config(
+    path: str | None, seed: int | None
+) -> tuple[SimConfig, dict | None, ReputationParams]:
+    """Parse the JSON config file: {"sim": {...}, "behaviors": {...}, "reputation": {...}}.
+
+    Behaviors are None without a ``behaviors`` section. Any malformed content
+    raises ``InvalidConfig`` naming the file.
+    """
+    try:
+        raw = json.loads(Path(path).read_bytes()) if path else {}
+        if not isinstance(raw, dict):
+            raise InvalidConfig("config must be a JSON object")
+        for name, section in raw.items():
+            if name not in CONFIG_KEYS:
+                raise InvalidConfig(f"unknown config section {name!r}")
+            if not isinstance(section, dict):
+                raise InvalidConfig(f"config section {name!r} must be a JSON object")
+            unknown = set(section) - CONFIG_KEYS[name]
+            if unknown:
+                raise InvalidConfig(f"unknown {name} config keys: {sorted(unknown)}")
+        sim_raw = dict(raw.get("sim", {}))
+        if "base_unit_cost" in sim_raw:
+            sim_raw["base_unit_cost"] = Money(**sim_raw["base_unit_cost"])
+        if "chains" in sim_raw:
+            sim_raw["chains"] = tuple((c, bool(t)) for c, t in sim_raw["chains"])
+        if "hop_range" in sim_raw:
+            sim_raw["hop_range"] = tuple(sim_raw["hop_range"])
+        cfg = SimConfig(**sim_raw)
+        if seed is not None:
+            cfg = dataclasses.replace(cfg, rng_seed=seed)
+        cfg.validate()
+        params = ReputationParams(**raw.get("reputation", {}))
+        spec = raw.get("behaviors")
+        behaviors = assign_behaviors(build_topology(cfg), **spec) if spec else None
+    except (ChipchainError, TypeError, ValueError, AttributeError) as exc:
+        raise InvalidConfig(f"{path}: {exc}" if path else str(exc)) from None
+    return cfg, behaviors, params
 
 
 def view_from_flags(args, chains) -> ObserverView:
@@ -90,30 +102,20 @@ def view_from_flags(args, chains) -> ObserverView:
     return ObserverView(observer, trusted | {observer})
 
 
-def params_from_flags(args) -> ReputationParams:
-    return ReputationParams(
-        decrease_rate=args.m,
-        trusted_discount=args.trusted_discount,
-        penalty_form=args.penalty_form,
+def _add_view_flags(parser: argparse.ArgumentParser) -> None:
+    defaults = ReputationParams()
+    parser.add_argument(
+        "--m", type=float, default=defaults.decrease_rate, help="multiplicative decrease rate"
     )
-
-
-def _add_view_flags(parser: argparse.ArgumentParser, default_m: float = 0.1) -> None:
-    parser.add_argument("--m", type=float, default=default_m, help="multiplicative decrease rate")
-    parser.add_argument("--trusted-discount", type=float, default=2.0)
-    parser.add_argument("--penalty-form", choices=["rate", "raw"], default="rate")
+    parser.add_argument("--trusted-discount", type=float, default=defaults.trusted_discount)
+    parser.add_argument("--penalty-form", choices=PENALTY_FORMS, default=defaults.penalty_form)
     parser.add_argument("--trusted-chains", help="comma-separated trusted chain ids")
     parser.add_argument("--observer", help="observer chain (default: first trusted)")
 
 
 def _run_config(args, out_dir: Path | None = None) -> tuple[SimConfig, EndToEndResult]:
-    """Run the world of ``--config`` and ``--seed`` through ``run_end_to_end``.
-
-    Without a ``behaviors`` section the run keeps ``run_end_to_end``'s
-    default behaviors.
-    """
-    cfg, behavior_spec, params = load_config(args.config, args.seed)
-    behaviors = build_behaviors(build_topology(cfg), behavior_spec) if behavior_spec else None
+    """Run the world of ``--config`` and ``--seed`` through ``run_end_to_end``."""
+    cfg, behaviors, params = load_config(args.config, args.seed)
     result = run_end_to_end(
         cfg, behaviors=behaviors, params=params, stride=args.stride, out_dir=out_dir
     )
@@ -124,32 +126,14 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg, result = _run_config(args)
-    params = result.engine.params
     result.replay.ledger.save_log(out / "ledger.ndjson")
     write_scores_csv(
         out / "scores.csv", result.engine, {"seed": cfg.rng_seed, "n": cfg.n_transactions}
     )
     write_traces(out / "penalties.ndjson", result.replay.traces)
-    sim_manifest = {
-        k: v
-        for k, v in dataclasses.asdict(cfg).items()
-        if k not in ("base_unit_cost", "chains", "assignment", "hop_range")
-    }
-    sim_manifest["base_unit_cost"] = {
-        "amount": cfg.base_unit_cost.amount,
-        "currency": cfg.base_unit_cost.currency,
-    }
-    sim_manifest["chains"] = [[c, t] for c, t in cfg.chains]
-    sim_manifest["hop_range"] = list(cfg.hop_range)
-    if cfg.assignment:
-        sim_manifest["assignment"] = dict(cfg.assignment)
     manifest = {
-        "sim": sim_manifest,
-        "reputation": {
-            "decrease_rate": params.decrease_rate,
-            "trusted_discount": params.trusted_discount,
-            "penalty_form": params.penalty_form,
-        },
+        "sim": dataclasses.asdict(cfg),
+        "reputation": dataclasses.asdict(result.engine.params),
         "view": {
             "observer_chain": result.topology.view.observer_chain,
             "trusted_chains": sorted(result.topology.view.trusted_chains),
@@ -195,8 +179,14 @@ def _replay_log(args) -> tuple[list[tuple], ReputationEngine, Ledger]:
     """The records of ``--log``, replayed into a fresh engine for the flagged view."""
     records = load_log_records(args.log)
     chains = [rec[1] for rec in records if rec[0] == "chain"]
-    engine = ReputationEngine(view_from_flags(args, chains or ["main"]), params_from_flags(args))
-    return records, engine, replay(records, engine).ledger
+    params = ReputationParams(
+        decrease_rate=args.m, trusted_discount=args.trusted_discount, penalty_form=args.penalty_form
+    )
+    engine = ReputationEngine(view_from_flags(args, chains or ["main"]), params)
+    try:
+        return records, engine, replay(records, engine).ledger
+    except ChipchainError as exc:
+        raise type(exc)(f"{args.log}: {exc}") from exc
 
 
 def cmd_replay(args) -> int:
@@ -223,7 +213,7 @@ def cmd_score(args) -> int:
                 "chain_id": entity.chain,
                 "r": rep.r,
                 "r_ideal": rep.r_ideal,
-                "normalized": normalized_score(rep),
+                "normalized": engine.normalized(args.entity),
             },
             sort_keys=True,
         )

@@ -116,8 +116,3 @@ _HASHED_ID = re.compile("[0-9a-f]{64}")
 def is_hashed_id(value: str) -> bool:
     """True if ``value`` is a well-formed 64-char lower-case hex digest."""
     return isinstance(value, str) and _HASHED_ID.fullmatch(value) is not None
-
-
-def cur_convert(money: Money, table: ExchangeTable = STANDARD_TABLE) -> float:
-    """Convert ``money`` into standard-currency units via ``table``."""
-    return money.amount * table.rate(money.currency)

@@ -36,7 +36,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .domain import Entity, EntityId, Money, Role
+from .domain import Entity, EntityId, ExchangeTable, Money, Role
 from .errors import InvalidConfig
 from .ledger import Ledger, PenaltyTrace
 from .reputation import (
@@ -73,9 +73,7 @@ BASIC_DEFECT_PROBS = (1e-5, 1e-4, 1e-3, 1e-2)
 #: Default decrease rate for single-seller attack curves.
 ATTACK_DECREASE_RATE = 0.01
 
-#: Default defect probabilities for the end-to-end scenario: members of
-#: untrusted consortiums ship defects at an elevated rate.
-TRUSTED_DEFECT_PROB = 0.001
+#: Elevated default defect probability of untrusted-consortium manufacturers.
 UNTRUSTED_DEFECT_PROB = 0.005
 
 
@@ -347,7 +345,7 @@ def run_end_to_end(
     topology = build_topology(cfg)
     if behaviors is None:
         per_chain = {chain: UNTRUSTED_DEFECT_PROB for chain, trusted in cfg.chains if not trusted}
-        behaviors = assign_behaviors(topology, uniform_p=TRUSTED_DEFECT_PROB, per_chain=per_chain)
+        behaviors = assign_behaviors(topology, per_chain=per_chain)
     engine = ReputationEngine(topology.view, params)
     result = replay(generate_stream(topology, cfg, behaviors), engine, sample_stride=stride)
     aggregate = aggregate_by_consortium(result, topology)
@@ -370,6 +368,7 @@ def oracle_recompute(
     records: Iterable[tuple],
     params: ReputationParams,
     view: ObserverView,
+    exchange: ExchangeTable,
 ) -> dict[EntityId, tuple[float, float]]:
     """Recompute every entity's (r, r_ideal) from scratch off an operation log.
 
@@ -388,7 +387,7 @@ def oracle_recompute(
     n_reports = 0
     rep_r: dict[str, float] = {}
     rep_ideal: dict[str, float] = {}
-    rates = params.exchange.rates
+    rates = exchange.rates
     raw_form = params.penalty_form == "raw"
 
     def credit(seller: str, value: float, ideal_only: bool = False) -> None:
@@ -470,7 +469,7 @@ def oracle_max_deviation(
     records: Iterable[tuple],
 ) -> float:
     """Max relative deviation between the engine and a from-scratch recompute."""
-    oracle = oracle_recompute(records, engine.params, engine.view)
+    oracle = oracle_recompute(records, engine.params, engine.view, engine.exchange)
     worst = 0.0
     ids = set(oracle) | set(engine.known_entities())
     for eid in ids:

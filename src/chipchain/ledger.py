@@ -18,10 +18,11 @@ seller to meta-entity and meta-entity to buyer.
 Read-only verification never touches the log: looking up an unknown id emits a
 suspicious-device flag into a side event list and nothing else.
 
-Reputation engines subscribe as observers. The ledger notifies them when a
-part's lifecycle completes: a passing report rewards every seller along the
-part's path, and a trusted-authority adjudication penalizes the sellers along
-the defective part's attribution path.
+One reputation engine may be attached; it reads the ledger's entity registry
+and exchange table, so everything it reads was validated before the log grew.
+The ledger notifies it when a part's lifecycle completes: a passing report
+rewards every seller along the part's path, and a trusted-authority
+adjudication penalizes the sellers along the defective part's attribution path.
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ class Ledger:
         self._meta: dict[tuple[ChainId, ChainId], EntityId] = {}
         self._log: list[tuple] = []
         self.suspicious_events: list[tuple[EntityId, HashedDeviceId]] = []
-        self._observers: list[ReputationEngine] = []
+        self.engine: ReputationEngine | None = None
 
     # -- registries ----------------------------------------------------------
 
@@ -235,14 +236,16 @@ class Ledger:
         return len(self._log)
 
     def attach(self, engine: ReputationEngine) -> ReputationEngine:
-        """Subscribe a reputation engine to lifecycle events from now on."""
-        engine.entities = self._entities
-        self._observers.append(engine)
-        return engine
+        """Feed ``engine`` lifecycle events, the ledger's registry and its exchange table.
 
-    @property
-    def observers(self) -> Sequence[ReputationEngine]:
-        return self._observers
+        A ledger has at most one engine; a second raises ``Conflict``.
+        """
+        if self.engine is not None:
+            raise Conflict("a reputation engine is already attached to this ledger")
+        engine.entities = self._entities
+        engine.exchange = self.exchange
+        self.engine = engine
+        return engine
 
     # -- world setup ----------------------------------------------------------
 
@@ -519,7 +522,7 @@ class Ledger:
         marks the parts verified. A fail defers to the chain's trusted
         authority: no reputation changes until adjudication.
         """
-        if result not in (0, 1):
+        if type(result) is not int or result not in (0, 1):
             raise InvalidArgument("result must be 0 (pass) or 1 (fail)")
         entity = self.entity(caller)
         id_list = sorted(set(ids))
@@ -544,8 +547,8 @@ class Ledger:
             for hid in id_list:
                 part = self._parts[hid]
                 part.status = PartStatus.VERIFIED_OK
-                for engine in self._observers:
-                    engine.lifecycle_passed(part.path)
+                if self.engine is not None:
+                    self.engine.lifecycle_passed(part.path)
         return report_id
 
     def adjudicate(
@@ -597,8 +600,8 @@ class Ledger:
                 penalty_path = self._parts[origin_id].path + part.path
             else:
                 penalty_path = own_path
-            for engine in self._observers:
-                traces.append(engine.lifecycle_failed(own_path, penalty_path, part=hid))
+            if self.engine is not None:
+                traces.append(self.engine.lifecycle_failed(own_path, penalty_path, part=hid))
         return AdjudicationResult(report_id, bad, traces)
 
     # -- queries ---------------------------------------------------------------
@@ -775,41 +778,56 @@ def _record_to_obj(rec: tuple) -> dict:
 
 
 def _obj_to_record(obj: dict) -> tuple:
+    """The record of one decoded log line; names must be strings, ids lists of strings."""
     op = obj["op"]
     if op == "chain":
-        return (op, obj["id"])
+        return _strings(op, obj["id"])
     if op == "entity":
-        return (op, obj["id"], obj["role"], obj["chain"])
+        return _strings(op, obj["id"], obj["role"], obj["chain"])
     if op == "type":
-        return (op, obj["name"], obj["kind"], obj["maker"])
+        return _strings(op, obj["name"], obj["kind"], obj["maker"])
     if op == "devices":
-        return (op, obj["maker"], obj["type"], tuple(obj["ids"]))
+        return (*_strings(op, obj["maker"], obj["type"]), _id_list(obj, "ids"))
     if op == "transfer":
         return (
-            op,
-            obj["kind"],
-            obj["type"],
-            obj["src"],
-            obj["dst"],
-            tuple(obj["ids"]),
+            *_strings(op, obj["kind"], obj["type"], obj["src"], obj["dst"]),
+            _id_list(obj, "ids"),
             tuple(obj["amounts"]),
-            obj["currency"],
+            *_strings(obj["currency"]),
         )
     if op in ("confirm", "reject"):
-        return (op, obj["caller"], obj["type"], tuple(obj["ids"]))
+        return (*_strings(op, obj["caller"], obj["type"]), _id_list(obj, "ids"))
     if op == "consume":
-        return (op, obj["caller"], tuple(obj["chiplets"]), obj["ic"])
+        return (*_strings(op, obj["caller"]), _id_list(obj, "chiplets"), *_strings(obj["ic"]))
     if op == "report":
-        return (op, obj["reporter"], tuple(obj["ids"]), obj["result"])
+        return (*_strings(op, obj["reporter"]), _id_list(obj, "ids"), obj["result"])
     if op == "adjudicate":
+        origins = obj["origins"]
+        if type(origins) is not dict:
+            raise InvalidArgument(f"field 'origins' must be an object of strings, got {origins!r}")
+        _strings(*origins.values())
         return (
-            op,
-            obj["ta"],
-            obj["report"],
-            tuple(obj["defective"]),
-            tuple(sorted(obj["origins"].items())),
+            *_strings(op, obj["ta"], obj["report"]),
+            _id_list(obj, "defective"),
+            tuple(sorted(origins.items())),
         )
     raise InvalidArgument(f"unknown log operation {op!r}")
+
+
+def _strings(*values) -> tuple:
+    """``values``, unless one is not a ``str``, which raises ``InvalidArgument``."""
+    for value in values:
+        if type(value) is not str:
+            raise InvalidArgument(f"expected a string, got {value!r}")
+    return values
+
+
+def _id_list(obj: dict, key: str) -> tuple[str, ...]:
+    """The field ``key`` of ``obj``, a JSON list of strings, as a tuple."""
+    value = obj[key]
+    if type(value) is not list:
+        raise InvalidArgument(f"field {key!r} must be a list of strings, got {value!r}")
+    return _strings(*value)
 
 
 def load_log_records(path) -> list[tuple]:

@@ -61,7 +61,6 @@ class ReputationParams:
 
     decrease_rate: float = 0.1
     trusted_discount: float = 2.0
-    exchange: ExchangeTable = STANDARD_TABLE
     penalty_form: str = "rate"
 
     def __post_init__(self) -> None:
@@ -154,7 +153,8 @@ class ReputationEngine:
 
     The engine keeps O(1) state per entity (the two floats of
     ``EntityReputation``) and no per-transaction history. It is driven by
-    lifecycle notifications, normally delivered by an attached ledger.
+    lifecycle notifications from the ledger it is attached to, which also hands
+    it the entity registry and exchange table (else ``STANDARD_TABLE``).
     """
 
     def __init__(
@@ -166,6 +166,7 @@ class ReputationEngine:
         self.view = view
         self.params = params
         self.entities: Mapping[EntityId, Entity] = entities if entities is not None else {}
+        self.exchange: ExchangeTable = STANDARD_TABLE
         self._rep: dict[EntityId, EntityReputation] = {}
 
     # -- state access ------------------------------------------------------
@@ -213,7 +214,7 @@ class ReputationEngine:
 
     def lifecycle_passed(self, path: Iterable[Edge]) -> None:
         """Reward every seller along the path with the converted sale amount."""
-        rate = self.params.exchange.rate
+        rate = self.exchange.rate
         for seller, _buyer, amount, currency in path:
             value = amount * rate(currency)
             rep = self._get(seller)
@@ -235,7 +236,7 @@ class ReputationEngine:
         """
         if penalty_path is None:
             penalty_path = own_path
-        rate = self.params.exchange.rate
+        rate = self.exchange.rate
         for seller, _buyer, amount, currency in own_path:
             self._get(seller).r_ideal += amount * rate(currency)
         trace = penalty_rates(penalty_path, self.entities, self.view, self.params, part=part)

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .domain import ChainId, Entity, EntityId, Money, Role, hash_device_id
-from .errors import InvalidConfig
+from .errors import ChipchainError, InvalidConfig
 from .ledger import Ledger, PartKind
 from .reputation import ObserverView, PenaltyTrace, ReputationEngine
 
@@ -58,7 +58,6 @@ class SimConfig:
         ("UC-1", False),
         ("UC-2", False),
     )
-    assignment: Mapping[EntityId, ChainId] | None = None
     n_transactions: int = 10_000
     markup_pct: float = 10.0
     base_unit_cost: Money = Money(100.0)
@@ -74,19 +73,19 @@ class SimConfig:
             "ic_mfrs": self.ic_mfrs,
             "ic_dists": self.ic_dists,
             "si_count": self.si_count,
+            "n_transactions": self.n_transactions,
+            "chiplets_per_ic": self.chiplets_per_ic,
         }
         for name, value in counts.items():
-            if value < 1:
-                raise InvalidConfig(f"{name} must be >= 1, got {value}")
-        if self.n_transactions < 1:
-            raise InvalidConfig("n_transactions must be >= 1")
+            if not isinstance(value, int) or value < 1:
+                raise InvalidConfig(f"{name} must be an integer >= 1, got {value!r}")
+        if not isinstance(self.rng_seed, int) or self.rng_seed < 0:
+            raise InvalidConfig(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
         if self.markup_pct < 0:
             raise InvalidConfig("markup_pct must be >= 0")
-        if self.chiplets_per_ic < 1:
-            raise InvalidConfig("chiplets_per_ic must be >= 1")
         lo, hi = self.hop_range
-        if lo < 1 or hi < lo:
-            raise InvalidConfig(f"hop_range must satisfy 1 <= lo <= hi, got {self.hop_range}")
+        if not isinstance(lo, int) or not isinstance(hi, int) or lo < 1 or hi < lo:
+            raise InvalidConfig(f"hop_range must be integers 1 <= lo <= hi, got {self.hop_range}")
         if not 0.0 <= self.cross_chain_prob <= 1.0:
             raise InvalidConfig("cross_chain_prob must be in [0, 1]")
         if not self.chains:
@@ -111,6 +110,8 @@ class BehaviorProfile:
             raise InvalidConfig("defect_prob must be in [0, 1]")
         if (self.switch_at is None) != (self.post_switch_prob is None):
             raise InvalidConfig("switch_at and post_switch_prob must be given together")
+        if self.switch_at is not None and not isinstance(self.switch_at, int):
+            raise InvalidConfig(f"switch_at must be an integer, got {self.switch_at!r}")
         if self.post_switch_prob is not None and not 0.0 <= self.post_switch_prob <= 1.0:
             raise InvalidConfig("post_switch_prob must be in [0, 1]")
 
@@ -143,13 +144,11 @@ def build_topology(cfg: SimConfig) -> Topology:
     """Deterministic population for a config: no randomness is involved.
 
     Entities of each role are partitioned round-robin across the configured
-    chains unless an explicit assignment map overrides them. One trusted
-    authority is created per chain.
+    chains. One trusted authority is created per chain.
     """
     cfg.validate()
     chain_names = [c for c, _ in cfg.chains]
     trusted = frozenset(c for c, t in cfg.chains if t)
-    assignment = dict(cfg.assignment or {})
 
     role_counts = [
         (Role.CHIPLET_MANUFACTURER, cfg.chiplet_mfrs),
@@ -161,21 +160,11 @@ def build_topology(cfg: SimConfig) -> Topology:
     entities: list[Entity] = []
     by_role: dict[Role, list[EntityId]] = {role: [] for role, _ in role_counts}
     chain_of: dict[EntityId, ChainId] = {}
-    valid_ids = set()
-    for role, count in role_counts:
-        width = max(3, len(str(count)))
-        for i in range(count):
-            valid_ids.add(f"{_ROLE_PREFIX[role]}{i + 1:0{width}d}")
-    for unknown in set(assignment) - valid_ids:
-        raise InvalidConfig(f"assignment names unknown entity {unknown!r}")
-    for bad_chain in set(assignment.values()) - set(chain_names):
-        raise InvalidConfig(f"assignment names unknown chain {bad_chain!r}")
-
     for role, count in role_counts:
         width = max(3, len(str(count)))
         for i in range(count):
             eid = f"{_ROLE_PREFIX[role]}{i + 1:0{width}d}"
-            chain = assignment.get(eid, chain_names[i % len(chain_names)])
+            chain = chain_names[i % len(chain_names)]
             entities.append(Entity(eid, role, chain))
             by_role[role].append(eid)
             chain_of[eid] = chain
@@ -414,7 +403,8 @@ def replay(
     This is the one way a log becomes a ledger. With an engine attached and a
     nonzero ``sample_stride``, the engine is sampled each time the running
     count of confirm records hits a multiple of the stride (plus once at
-    stream end), for every non-meta entity known at the first sample.
+    stream end), for every non-meta entity known at the first sample. A
+    ``ChipchainError`` from a record names the record's 1-based position.
     """
     ledger = Ledger()
     if engine is not None:
@@ -439,8 +429,11 @@ def replay(
         rows_norm.append(row_norm)
 
     apply = ledger.apply_record
-    for rec in records:
-        outcome = apply(rec)
+    for position, rec in enumerate(records, start=1):
+        try:
+            outcome = apply(rec)
+        except ChipchainError as exc:
+            raise type(exc)(f"record {position}: {exc}") from exc
         if rec[0] == "confirm":
             txn_count += 1
             if sampling and txn_count % sample_stride == 0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from chipchain.domain import Entity, Money, Role, hash_device_id
+from chipchain.domain import Entity, ExchangeTable, Money, Role, hash_device_id
 from chipchain.errors import ChipchainError, PermissionDenied
 from chipchain.harness import (
     ORACLE_TOLERANCE,
@@ -326,7 +326,7 @@ def tiny_logs():
 
     mask = np.random.Generator(np.random.PCG64(5)).random(400) < 0.1
     _, _, _, ledger = ledger_single_seller(mask, 0.2, stride=100)
-    dev_basic = oracle_max_deviation(ledger.observers[0], ledger.log_records())
+    dev_basic = oracle_max_deviation(ledger.engine, ledger.log_records())
     return [dev_sim, dev_basic]
 
 
@@ -559,9 +559,15 @@ def test_criterion_7_normalized_score_properties(e2e_summaries):
 
 
 def _engine_state_is_o1(engine: ReputationEngine, n_entities: int) -> bool:
-    """The engine keeps two floats per entity and no per-transaction history."""
+    """The engine keeps two floats per entity and no per-transaction history.
+
+    Besides its view, parameters and scores it holds only what the ledger
+    hands it at attach: the entity registry and the frozen exchange table.
+    """
     attrs = vars(engine)
-    if set(attrs) != {"view", "params", "entities", "_rep"}:
+    if set(attrs) != {"view", "params", "entities", "exchange", "_rep"}:
+        return False
+    if not isinstance(engine.exchange, ExchangeTable):
         return False
     if len(engine._rep) > n_entities:
         return False

@@ -176,6 +176,64 @@ class TestEndToEndCommand:
         assert "error:" in capsys.readouterr().err
 
 
+def small_config_with(section, values):
+    """``SMALL_CONFIG`` as JSON text, with ``values`` merged into ``section``."""
+    config = json.loads(json.dumps(SMALL_CONFIG))
+    config.setdefault(section, {}).update(values)
+    return json.dumps(config)
+
+
+class TestMalformedConfigs:
+    """A malformed config ends in exit 1 and one line naming the file, never a traceback."""
+
+    @pytest.mark.parametrize("command", ("simulate", "end-to-end"))
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (small_config_with("reputation", {"decay": 0.1}),
+             "unknown reputation config keys: ['decay']"),
+            (small_config_with("reputation", {"exchange": {"EUR": 2.0}}),
+             "unknown reputation config keys: ['exchange']"),
+            (small_config_with("behaviors", {"uniform": 0.1}),
+             "unknown behaviors config keys: ['uniform']"),
+            (small_config_with("sim", {"assignment": {"cm001": "UC-1"}}),
+             "unknown sim config keys: ['assignment']"),
+            (small_config_with("simulation", {}), "unknown config section 'simulation'"),
+            (small_config_with("reputation", {"decrease_rate": "0.1"}), "not str"),
+            (small_config_with("sim", {"n_transactions": "400"}),
+             "n_transactions must be an integer >= 1, got '400'"),
+            (small_config_with("sim", {"rng_seed": -1}), "rng_seed must be an integer >= 0"),
+            (small_config_with("behaviors", {"uniform_p": "0.1"}), "not supported"),
+            (small_config_with("sim", {"hop_range": 2}), "not iterable"),
+            (small_config_with("behaviors", {"sleepers": {"cm001": 5}}), "cannot unpack"),
+            (small_config_with("behaviors", {"sleepers": {"cm001": ["9", 0.5]}}),
+             "switch_at must be an integer"),
+            (json.dumps({"sim": [1, 2]}), "config section 'sim' must be a JSON object"),
+            (json.dumps([SMALL_CONFIG]), "config must be a JSON object"),
+            ('{"sim": ', "Expecting value"),
+        ],
+        ids=[
+            "unknown_reputation_key", "reputation_exchange", "unknown_behaviors_key",
+            "sim_assignment", "unknown_section", "string_decrease_rate",
+            "string_n_transactions", "negative_seed", "string_uniform_p", "scalar_hop_range",
+            "scalar_sleeper", "string_switch_at", "section_not_object", "top_level_array",
+            "bad_json",
+        ],
+    )
+    def test_diagnosed_with_path(self, tmp_path, capsys, command, text, message):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        assert run([command, "--config", config, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {config}: ")
+        assert message in err
+
+    def test_negative_seed_flag_without_config(self, tmp_path, capsys):
+        assert run(["simulate", "--seed", "-1", "--out", tmp_path]) == 1
+        assert capsys.readouterr().err == "error: rng_seed must be an integer >= 0, got -1\n"
+
+
 VALID_PREFIX = '{"op":"chain","id":"TB"}\n{"op":"entity","id":"ta","role":"TA","chain":"TB"}\n'
 
 #: A chiplet sale whose amount is a string: every field is present, one value is bad.
@@ -208,8 +266,14 @@ class TestMalformedLogs:
             (b'{"op":"meta","src":"TB","dst":"UB"}', "unknown log operation 'meta'"),
             (b'{"op":"chain"}', "lacks field 'id'"),
             (b'{"op":"chain","id":"\xff\xfe"}', "not valid UTF-8"),
+            (b'{"op":"entity","id":5,"role":"CM","chain":"TB"}', "expected a string, got 5"),
+            (b'{"op":"devices","maker":"ta","type":"t","ids":[[1]]}', "expected a string, got [1]"),
+            (b'{"op":"type","name":3,"kind":"chiplet","maker":"ta"}', "expected a string, got 3"),
         ],
-        ids=["bad_json", "not_object", "unknown_op", "missing_field", "bad_utf8"],
+        ids=[
+            "bad_json", "not_object", "unknown_op", "missing_field", "bad_utf8",
+            "numeric_id", "nested_ids", "numeric_name",
+        ],
     )
     def test_decode_errors_name_path_and_line(self, tmp_path, capsys, command, line, message):
         log = tmp_path / "bad.ndjson"
@@ -230,7 +294,17 @@ class TestMalformedLogs:
         )
         assert run(self.argv(command, log, tmp_path)) == 1
         err = capsys.readouterr().err
-        assert err == "error: unknown report 'R000001'\n"
+        assert err == f"error: {log}: record 3: unknown report 'R000001'\n"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_ownership_violation_names_record(self, tmp_path, capsys, command):
+        log = tmp_path / "thief.ndjson"
+        sale = STRING_AMOUNT[-1].replace('"src":"cm","dst":"cd"', '"src":"cd","dst":"cm"')
+        sale = sale.replace('["5"]', "[5]")
+        log.write_text(VALID_PREFIX + "".join(line + "\n" for line in STRING_AMOUNT[:-1] + [sale]))
+        assert run(self.argv(command, log, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {log}: record 7: 'cd' does not own device '{'a' * 64}'\n"
 
     @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize(
@@ -248,7 +322,8 @@ class TestMalformedLogs:
         assert run(self.argv(command, log, tmp_path)) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith("error: malformed log field: ")
+        record = 2 + len(lines)
+        assert err.startswith(f"error: {log}: record {record}: malformed log field: ")
         assert message in err
         assert "Traceback" not in err
 
@@ -279,6 +354,9 @@ GOLDEN_DIGESTS = {
     "e2e/end_to_end_seed5.csv": "f332b0177bbbd1b7208727ebe915ebe51f74a275e8ee7b50af2e78cae9f3934c",
     "e2e/ledger.ndjson": "b3806c4d021f1c45914ab71bbd379a19635d7c71bf7342c4afac03f4611362c1",
     "e2e/scores.csv": "86cf7398ea3e8b697d2a4a7381a77711a62e32d2c7b09c7a94f03cb5e3925afa",
+    # Computed when run.json was still written field by field, not from the
+    # config dataclasses.
+    "sim/run.json": "e6d5af8eb7d3d0028d83ebac9fad6510e6a0dbf987da05458a1fca88b5de0cbd",
 }
 
 

@@ -3,9 +3,9 @@ import math
 import pytest
 
 from chipchain.domain import (
+    STANDARD_TABLE,
     ExchangeTable,
     Money,
-    cur_convert,
     hash_device_id,
     is_hashed_id,
 )
@@ -61,28 +61,26 @@ class TestHashDeviceId:
         assert digest == digest.lower()
 
 
-class TestCurConvert:
+class TestExchangeRate:
     def test_identity_rate(self):
-        assert cur_convert(Money(100.0)) == 100.0
+        assert 100.0 * STANDARD_TABLE.rate("STD") == 100.0
 
     def test_direct_multiplication(self):
         table = ExchangeTable({"FOO": 0.5})
-        assert cur_convert(Money(100.0, "FOO"), table) == 50.0
+        assert 100.0 * table.rate("FOO") == 50.0
 
     def test_zero_amount(self):
         table = ExchangeTable({"FOO": 7.25})
-        assert cur_convert(Money(0.0, "FOO"), table) == 0.0
+        assert 0.0 * table.rate("FOO") == 0.0
 
     def test_unknown_currency(self):
         with pytest.raises(UnknownCurrency):
-            cur_convert(Money(1.0, "XYZ"), ExchangeTable())
+            ExchangeTable().rate("XYZ")
 
     def test_linearity(self):
-        table = ExchangeTable({"FOO": 1.75})
+        rate = ExchangeTable({"FOO": 1.75}).rate("FOO")
         for a, b in [(1.5, 2.25), (0.0, 10.0), (123.456, 0.001)]:
-            lhs = cur_convert(Money(a + b, "FOO"), table)
-            rhs = cur_convert(Money(a, "FOO"), table) + cur_convert(Money(b, "FOO"), table)
-            assert lhs == pytest.approx(rhs, rel=1e-12)
+            assert (a + b) * rate == pytest.approx(a * rate + b * rate, rel=1e-12)
 
 
 class TestMoneyAndTable:

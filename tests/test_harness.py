@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chipchain.domain import STANDARD_TABLE
 from chipchain.errors import InvalidConfig
 from chipchain.harness import (
     basic_curve,
@@ -145,13 +146,13 @@ class TestRunEndToEnd:
 class TestOracle:
     def test_empty_log(self):
         view = ObserverView("main", frozenset({"main"}))
-        assert oracle_recompute([], ReputationParams(), view) == {}
+        assert oracle_recompute([], ReputationParams(), view, STANDARD_TABLE) == {}
 
     def test_single_pass_lifecycle_sums_path_amounts(self):
         mask = np.zeros(3, dtype=bool)
         _, _, _, ledger = ledger_single_seller(mask, 0.1, stride=10)
-        engine = ledger.observers[0]
-        oracle = oracle_recompute(ledger.log_records(), engine.params, engine.view)
+        engine = ledger.engine
+        oracle = oracle_recompute(ledger.log_records(), engine.params, engine.view, engine.exchange)
         assert oracle["maker"] == (3.0, 3.0)
 
     def test_matches_engine_on_simulated_world(self):
@@ -172,7 +173,7 @@ class TestOracle:
         # Sanity: the check is not vacuous.
         mask = np.ones(5, dtype=bool)
         _, _, _, ledger = ledger_single_seller(mask, 0.5, stride=10)
-        engine = ledger.observers[0]
+        engine = ledger.engine
         engine._rep["maker"].r += 1.0
         assert oracle_max_deviation(engine, ledger.log_records()) > 1e-9
 
@@ -208,7 +209,7 @@ class TestTraces:
     def test_replay_collects_penalty_traces(self, tmp_path):
         mask = np.array([False, True, False, True])
         _, _, _, ledger = ledger_single_seller(mask, 0.5, stride=10)
-        live = ledger.observers[0]
+        live = ledger.engine
         fresh = ReputationEngine(live.view, live.params)
         result = replay(ledger.log_records(), engine=fresh)
         assert [trace.part for trace in result.traces] == [f"{2:064x}", f"{4:064x}"]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from chipchain.domain import Entity, Money, Role, hash_device_id
+from chipchain.domain import STANDARD_TABLE, Entity, Money, Role, hash_device_id
 from chipchain.errors import (
     AlreadyExists,
     Conflict,
@@ -13,6 +13,7 @@ from chipchain.errors import (
     NotOwner,
     PermissionDenied,
 )
+from chipchain.harness import oracle_max_deviation
 from chipchain.ledger import (
     Ledger,
     PartStatus,
@@ -403,6 +404,13 @@ class TestReportAndAdjudication:
         with pytest.raises(PermissionDenied):
             self.ledger.report("eu1", self.chiplets, 0)  # end user, chiplet ids
 
+    @pytest.mark.parametrize("result", [2, -1, False, True, 0.0, "0"])
+    def test_result_must_be_integer_zero_or_one(self, result):
+        length = self.ledger.log_length()
+        with pytest.raises(InvalidArgument, match="result must be 0"):
+            self.ledger.report("icm1", self.chiplets, result)
+        assert self.ledger.log_length() == length
+
     def test_adjudication_with_empty_outcome_is_recorded(self):
         rid = self.ledger.report("icm1", self.chiplets, 1)
         result = self.ledger.adjudicate("ta-tb", rid, [])
@@ -585,9 +593,24 @@ class TestLogDecoding:
             ('{"op":"teleport","id":"x"}', "unknown log operation 'teleport'"),
             ('{"op":"chain"}', "lacks field 'id'"),
             ('{"id":"x"}', "lacks field 'op'"),
-            ('{"op":"devices","maker":"cm1","type":"T","ids":7}', "malformed log record"),
+            ('{"op":"devices","maker":"cm1","type":"T","ids":7}',
+             "field 'ids' must be a list of strings, got 7"),
             ('{"op":"adjudicate","ta":"t","report":"R1","defective":[],"origins":[]}',
-             "malformed log record"),
+             "field 'origins' must be an object of strings"),
+            ('{"op":"entity","id":5,"role":"CM","chain":"TB"}', "expected a string, got 5"),
+            ('{"op":"type","name":3,"kind":"chiplet","maker":"cm1"}', "expected a string, got 3"),
+            ('{"op":"devices","maker":"cm1","type":"T","ids":[[1]]}',
+             r"expected a string, got \[1\]"),
+            ('{"op":"chain","id":7}', "expected a string, got 7"),
+            ('{"op":"transfer","kind":"chiplet","type":"T","src":"a","dst":null,'
+             '"ids":[],"amounts":[],"currency":"STD"}', "expected a string, got None"),
+            ('{"op":"confirm","caller":"a","type":"T","ids":"abc"}',
+             "field 'ids' must be a list of strings, got 'abc'"),
+            ('{"op":"consume","caller":"a","chiplets":[],"ic":{}}', "expected a string, got {}"),
+            ('{"op":"report","reporter":["a"],"ids":[],"result":0}',
+             r"expected a string, got \['a'\]"),
+            ('{"op":"adjudicate","ta":"t","report":"R1","defective":[],"origins":{"i":2}}',
+             "expected a string, got 2"),
         ],
     )
     def test_malformed_line_names_path_and_line(self, tmp_path, line, message):
@@ -647,17 +670,46 @@ class TestMultiCurrency:
             )
         assert self.ledger.log_length() == 5  # nothing was logged
 
-    def test_provenance_and_rewards_convert_to_standard(self):
-        view = ObserverView("TB", frozenset({"TB"}))
-        params = ReputationParams(decrease_rate=0.5, exchange=self.table)
-        engine = self.ledger.attach(ReputationEngine(view, params))
+    def sell_euro_part(self):
         self.ledger.transfer_chiplets(
             "cm1", "CH", 1, [hid("euro-part")], [Money(10.0, "EUR")], "icm1"
         )
         self.ledger.confirm_transfer("icm1", "CH", 1, [hid("euro-part")])
+
+    def test_provenance_and_rewards_convert_to_standard(self):
+        view = ObserverView("TB", frozenset({"TB"}))
+        engine = self.ledger.attach(ReputationEngine(view, ReputationParams(decrease_rate=0.5)))
+        self.sell_euro_part()
         assert self.ledger.provenance(hid("euro-part")) == [("cm1", "icm1", 20.0)]
         self.ledger.report("icm1", [hid("euro-part")], 0)
         assert engine.reputation("cm1").r == 20.0
+
+    def test_attached_engine_converts_with_the_ledger_table(self):
+        # The engine has no table of its own: default params convert EUR
+        # through the table the ledger validated the sale with.
+        engine = ReputationEngine(ObserverView("TB", frozenset({"TB"})), ReputationParams())
+        assert engine.exchange is STANDARD_TABLE
+        self.ledger.attach(engine)
+        assert engine.exchange is self.table
+        self.sell_euro_part()
+        self.ledger.report("icm1", [hid("euro-part")], 0)
+        assert engine.reputation("cm1").r == 20.0
+        assert oracle_max_deviation(engine, self.ledger.log_records()) == 0.0
+
+
+class TestAttach:
+    def test_second_engine_is_refused(self):
+        ledger, _, _, _ = fig_path_world()
+        view = ObserverView("TB", frozenset({"TB"}))
+        first = ledger.attach(ReputationEngine(view, ReputationParams()))
+        log, state = list(ledger.log_records()), ledger.state_json()
+        second = ReputationEngine(view, ReputationParams())
+        with pytest.raises(Conflict):
+            ledger.attach(second)
+        assert ledger.engine is first
+        assert second.entities == {} and second.exchange is STANDARD_TABLE
+        assert list(ledger.log_records()) == log
+        assert ledger.state_json() == state
 
 
 class TestEq6View:

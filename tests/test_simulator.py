@@ -67,21 +67,6 @@ class TestBuildTopology:
         chains_used = {topo.chain_of[e] for e in topo.by_role[Role.CHIPLET_DISTRIBUTOR]}
         assert chains_used == {"TC-1", "UC-1"}
 
-    def test_explicit_assignment_respected(self):
-        cfg = SimConfig(
-            chiplet_mfrs=4, chiplet_dists=8, ic_mfrs=3, ic_dists=6, si_count=3,
-            chains=(("TC-1", True), ("UC-1", False)),
-            assignment={"cm001": "UC-1"},
-            n_transactions=10,
-        )
-        topo = build_topology(cfg)
-        assert topo.chain_of["cm001"] == "UC-1"
-
-    def test_unknown_assignment_rejected(self):
-        cfg = SimConfig(assignment={"ghost": "TC-1"}, n_transactions=10)
-        with pytest.raises(InvalidConfig):
-            build_topology(cfg)
-
     def test_view_trusts_configured_chains(self):
         topo = build_topology(SMALL)
         assert topo.view.trusted_chains == frozenset({"TC-1"})
