@@ -26,6 +26,7 @@ from pathlib import Path
 
 from .domain import Money
 from .errors import ChipchainError, InvalidConfig, NotFound
+from .files import atomic_write
 from .harness import (
     ATTACK_DECREASE_RATE,
     BASIC_DEFECT_PROBS,
@@ -139,7 +140,7 @@ def cmd_simulate(args) -> int:
             "trusted_chains": sorted(result.topology.view.trusted_chains),
         },
     }
-    with open(out / "run.json", "w", encoding="utf-8") as fh:
+    with atomic_write(out / "run.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"simulated {result.replay.txn_count} transactions -> {out}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
@@ -22,6 +23,9 @@ ChainId = str
 HashedDeviceId = str
 
 STANDARD_CURRENCY = "STD"
+
+#: Largest amount that is still a finite double.
+_MAX_AMOUNT = sys.float_info.max
 
 
 class Role(str, Enum):
@@ -54,13 +58,18 @@ class Entity:
 
 @dataclass(frozen=True, slots=True)
 class Money:
-    """A non-negative amount in some currency. Amounts are double-precision reals."""
+    """A non-negative amount in some currency.
+
+    An amount is a built-in ``int`` or ``float`` that ``is_amount`` accepts.
+    """
 
     amount: float
     currency: str = STANDARD_CURRENCY
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.amount) or self.amount < 0:
+        if not is_amount(self.amount):
+            if type(self.amount) is not float and type(self.amount) is not int:
+                raise TypeError(f"must be real number, not {type(self.amount).__name__}")
             raise InvalidArgument(f"money amount must be finite and >= 0, got {self.amount}")
         if not self.currency:
             raise InvalidArgument("currency code must be non-empty")
@@ -84,6 +93,8 @@ class ExchangeTable:
         if std_rate != 1.0:
             raise InvalidArgument(f"standard currency {self.standard!r} must have rate 1")
         for code, rate in rates.items():
+            if not isinstance(code, str) or not code:
+                raise InvalidArgument(f"currency code must be a non-empty string, got {code!r}")
             if not math.isfinite(rate) or rate <= 0:
                 raise InvalidArgument(f"exchange rate for {code!r} must be finite and positive")
         object.__setattr__(self, "rates", rates)
@@ -93,6 +104,28 @@ class ExchangeTable:
             return self.rates[currency]
         except KeyError:
             raise UnknownCurrency(f"no exchange rate for currency {currency!r}") from None
+
+
+def is_amount(value) -> bool:
+    """True if ``value`` can be a money amount.
+
+    That is a built-in ``int`` or ``float`` (a ``bool`` is neither), finite and
+    >= 0. Such a value writes to the log as the JSON number it reads back as.
+    """
+    return (type(value) is float or type(value) is int) and 0 <= value <= _MAX_AMOUNT
+
+
+def chain_id_error(chain_id) -> str | None:
+    """Why ``chain_id`` cannot name a chain, or None when it can.
+
+    A chain id is a non-empty string without ``_`` or ``^``: those separate
+    the parts of meta-entity ids, which must name exactly one chain pair.
+    """
+    if not isinstance(chain_id, str) or not chain_id:
+        return "chain id must be a non-empty string"
+    if "_" in chain_id or "^" in chain_id:
+        return f"chain id {chain_id!r} may not contain '_' or '^'"
+    return None
 
 
 #: Identity table: a single standard currency, rate 1.

@@ -38,6 +38,7 @@ import numpy as np
 
 from .domain import Entity, EntityId, ExchangeTable, Money, Role
 from .errors import InvalidConfig
+from .files import atomic_write
 from .ledger import Ledger, PenaltyTrace
 from .reputation import (
     ObserverView,
@@ -507,7 +508,7 @@ def export_csv(
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_write(path) as fh:
             if comment:
                 fh.write(f"# {comment}\n")
             fh.write(",".join(header) + "\n")
@@ -563,7 +564,7 @@ def write_scores_csv(path, engine: ReputationEngine, meta: Mapping | None = None
 def write_traces(path, traces: Sequence[PenaltyTrace]) -> Path:
     """Penalty traces as newline-delimited JSON for audit."""
     path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for trace in traces:
             obj = {
                 "part": trace.part,

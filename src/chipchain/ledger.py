@@ -30,9 +30,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _q
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .domain import (
+    STANDARD_CURRENCY,
     STANDARD_TABLE,
     ChainId,
     Entity,
@@ -41,6 +43,8 @@ from .domain import (
     HashedDeviceId,
     Money,
     Role,
+    chain_id_error,
+    is_amount,
     is_hashed_id,
 )
 from .errors import (
@@ -53,12 +57,17 @@ from .errors import (
     NotOwner,
     PermissionDenied,
 )
+from .files import atomic_write
 from .reputation import Edge, PenaltyTrace, ReputationEngine
 
 
 class PartKind(str, Enum):
     CHIPLET = "chiplet"
     IC = "ic"
+
+
+#: Part kinds by value, so that replay need not call the enum.
+_KINDS: Mapping[str, PartKind] = {kind.value: kind for kind in PartKind}
 
 
 class PartStatus(str, Enum):
@@ -182,7 +191,7 @@ class Ledger:
         self._entities: dict[EntityId, Entity] = {}
         self._types: dict[str, PartType] = {}
         self._parts: dict[HashedDeviceId, PartRecord] = {}
-        self._pending: dict[frozenset[HashedDeviceId], Transaction] = {}
+        self._pending: dict[tuple[HashedDeviceId, ...], Transaction] = {}  # by txn.ids
         self._txns: list[Transaction] = []
         self._reports: dict[str, VerificationReport] = {}
         self._meta: dict[tuple[ChainId, ChainId], EntityId] = {}
@@ -250,11 +259,9 @@ class Ledger:
     # -- world setup ----------------------------------------------------------
 
     def add_chain(self, chain_id: ChainId) -> None:
-        if not isinstance(chain_id, str) or not chain_id:
-            raise InvalidArgument("chain id must be a non-empty string")
-        if "_" in chain_id or "^" in chain_id:
-            # Reserved for meta-entity ids, which must stay injective.
-            raise InvalidArgument(f"chain id {chain_id!r} may not contain '_' or '^'")
+        error = chain_id_error(chain_id)
+        if error is not None:
+            raise InvalidArgument(error)
         if chain_id in self._chains:
             raise AlreadyExists(f"chain {chain_id!r} already registered")
         self._log.append(("chain", chain_id))
@@ -279,6 +286,8 @@ class Ledger:
         return self._register_type(caller, type_name, PartKind.IC)
 
     def _register_type(self, caller: EntityId, type_name: str, kind: PartKind) -> str:
+        if not isinstance(type_name, str):
+            raise InvalidArgument(f"type name must be a string, got {type_name!r}")
         if not type_name:
             raise InvalidArgument("type name must be non-empty")
         entity = self.entity(caller)
@@ -299,19 +308,18 @@ class Ledger:
         self.entity(caller)
         if caller != ptype.registrant:
             raise PermissionDenied(f"{caller!r} is not the registrant of {part_type!r}")
-        id_list = sorted(set(ids))
-        if not id_list:
+        id_tuple = _sorted_ids(ids)
+        if not id_tuple:
             raise InvalidArgument("no device ids supplied")
-        for hid in id_list:
+        for hid in id_tuple:
             if not is_hashed_id(hid):
                 raise InvalidArgument(f"malformed hashed id {hid!r}")
             if hid in self._parts:
                 raise AlreadyExists(f"device {hid!r} already registered")
-        record = ("devices", caller, part_type, tuple(id_list))
-        self._log.append(record)
-        for hid in id_list:
+        self._log.append(("devices", caller, part_type, id_tuple))
+        for hid in id_tuple:
             self._parts[hid] = PartRecord(hid, part_type, caller)
-        return len(id_list)
+        return len(id_tuple)
 
     # -- two-phase transfer ----------------------------------------------------
 
@@ -324,7 +332,8 @@ class Ledger:
         sale_prices: Sequence[Money],
         dest: EntityId,
     ) -> Transaction:
-        return self._transfer(PartKind.CHIPLET, caller, part_type, n, ids, sale_prices, dest)
+        amounts, currency = _amounts(sale_prices)
+        return self._transfer(PartKind.CHIPLET, caller, part_type, n, ids, amounts, currency, dest)
 
     def transfer_ics(
         self,
@@ -335,7 +344,8 @@ class Ledger:
         sale_prices: Sequence[Money],
         dest: EntityId,
     ) -> Transaction:
-        return self._transfer(PartKind.IC, caller, part_type, n, ids, sale_prices, dest)
+        amounts, currency = _amounts(sale_prices)
+        return self._transfer(PartKind.IC, caller, part_type, n, ids, amounts, currency, dest)
 
     def _transfer(
         self,
@@ -344,13 +354,15 @@ class Ledger:
         part_type: str,
         n: int,
         ids: Iterable[HashedDeviceId],
-        sale_prices: Sequence[Money],
+        amounts: tuple[float, ...],
+        currency: str,
         dest: EntityId,
     ) -> Transaction:
-        id_list = sorted(set(ids))
-        if n != len(id_list) or n != len(sale_prices):
+        """Initiate a transfer; ``amounts`` are valid amounts, per unit, in ``currency``."""
+        id_tuple = _sorted_ids(ids)
+        if n != len(id_tuple) or n != len(amounts):
             raise CountMismatch(
-                f"declared {n} units, got {len(id_list)} ids and {len(sale_prices)} prices"
+                f"declared {n} units, got {len(id_tuple)} ids and {len(amounts)} prices"
             )
         if n == 0:
             raise InvalidArgument("cannot transfer zero devices")
@@ -367,12 +379,8 @@ class Ledger:
         ptype = self.part_type(part_type)
         if ptype.kind is not kind:
             raise InvalidArgument(f"part type {part_type!r} is not a {kind.value} type")
-        currency = sale_prices[0].currency
-        for price in sale_prices:
-            if price.currency != currency:
-                raise InvalidArgument("all sale prices in one transfer must share a currency")
         self.exchange.rate(currency)  # unknown currencies never enter the log
-        for hid in id_list:
+        for hid in id_tuple:
             part = self.part(hid)
             if part.part_type != part_type:
                 raise InvalidArgument(f"device {hid!r} is not of type {part_type!r}")
@@ -382,44 +390,42 @@ class Ledger:
                 raise Conflict(f"device {hid!r} is already in transit")
             if part.status not in TRANSFERABLE:
                 raise Conflict(f"device {hid!r} is {part.status.value}, not transferable")
-        amounts = tuple(p.amount for p in sale_prices)
-        record = ("transfer", kind.value, part_type, caller, dest, tuple(id_list), amounts, currency)
-        self._log.append(record)
+        self._log.append(
+            ("transfer", kind.value, part_type, caller, dest, id_tuple, amounts, currency)
+        )
         txn = Transaction(
             seq=len(self._txns) + 1,
             part_type=part_type,
             source=caller,
             dest=dest,
-            ids=tuple(id_list),
+            ids=id_tuple,
             amounts=amounts,
             currency=currency,
         )
         self._txns.append(txn)
-        self._pending[frozenset(id_list)] = txn
-        for hid in id_list:
+        self._pending[id_tuple] = txn
+        for hid in id_tuple:
             self._parts[hid].status = PartStatus.IN_TRANSIT
         return txn
 
-    def _find_pending(
-        self, part_type: str, ids: Iterable[HashedDeviceId]
-    ) -> tuple[frozenset[HashedDeviceId], Transaction]:
-        key = frozenset(ids)
-        txn = self._pending.get(key)
+    def _find_pending(self, part_type: str, ids: tuple[HashedDeviceId, ...]) -> Transaction:
+        """The pending transfer of exactly ``ids``, sorted and without duplicates."""
+        txn = self._pending.get(ids)
         if txn is None or txn.part_type != part_type:
             raise NotFound("no matching pending transfer for these ids")
-        return key, txn
+        return txn
 
     def confirm_transfer(
         self, caller: EntityId, part_type: str, n: int, ids: Iterable[HashedDeviceId]
     ) -> Transaction:
-        id_set = frozenset(ids)
-        if n != len(id_set):
-            raise CountMismatch(f"declared {n} units, got {len(id_set)} ids")
-        key, txn = self._find_pending(part_type, id_set)
+        id_tuple = _sorted_ids(ids)
+        if n != len(id_tuple):
+            raise CountMismatch(f"declared {n} units, got {len(id_tuple)} ids")
+        txn = self._find_pending(part_type, id_tuple)
         if txn.dest != caller:
             raise PermissionDenied(f"{caller!r} is not the destination of this transfer")
         self._log.append(("confirm", caller, part_type, txn.ids))
-        del self._pending[key]
+        del self._pending[txn.ids]
         txn.status = TxnStatus.CONFIRMED
         src_chain = self._entities[txn.source].chain
         dst_chain = self._entities[txn.dest].chain
@@ -440,11 +446,11 @@ class Ledger:
         self, caller: EntityId, part_type: str, ids: Iterable[HashedDeviceId]
     ) -> Transaction:
         """Decline a pending transfer, returning the parts to their owner."""
-        key, txn = self._find_pending(part_type, ids)
+        txn = self._find_pending(part_type, _sorted_ids(ids))
         if txn.dest != caller:
             raise PermissionDenied(f"{caller!r} is not the destination of this transfer")
         self._log.append(("reject", caller, part_type, txn.ids))
-        del self._pending[key]
+        del self._pending[txn.ids]
         txn.status = TxnStatus.REJECTED
         for hid in txn.ids:
             self._parts[hid].status = PartStatus.OWNED
@@ -488,7 +494,7 @@ class Ledger:
         entity = self.entity(caller)
         if entity.role is not Role.IC_MANUFACTURER:
             raise PermissionDenied("only IC manufacturers consume chiplets")
-        chiplets = sorted(set(chiplet_ids))
+        chiplets = _sorted_ids(chiplet_ids)
         if not chiplets:
             raise InvalidArgument("no chiplet ids supplied")
         ic = self.part(ic_id)
@@ -508,7 +514,7 @@ class Ledger:
                 raise NotOwner(f"{caller!r} does not own chiplet {hid!r}")
             if part.status not in (PartStatus.OWNED, PartStatus.VERIFIED_OK):
                 raise Conflict(f"chiplet {hid!r} is {part.status.value}")
-        self._log.append(("consume", caller, tuple(chiplets), ic_id))
+        self._log.append(("consume", caller, chiplets, ic_id))
         for hid in chiplets:
             part = self._parts[hid]
             part.status = PartStatus.CONSUMED
@@ -525,26 +531,26 @@ class Ledger:
         if type(result) is not int or result not in (0, 1):
             raise InvalidArgument("result must be 0 (pass) or 1 (fail)")
         entity = self.entity(caller)
-        id_list = sorted(set(ids))
-        if not id_list:
+        id_tuple = _sorted_ids(ids)
+        if not id_tuple:
             raise InvalidArgument("no device ids supplied")
-        kinds = {self._types[self.part(hid).part_type].kind for hid in id_list}
+        kinds = {self._types[self.part(hid).part_type].kind for hid in id_tuple}
         if len(kinds) != 1:
             raise InvalidArgument("a report must cover one part kind")
         kind = kinds.pop()
         if entity.role not in REPORTER_ROLES[kind]:
             raise PermissionDenied(f"role {entity.role.value} may not report {kind.value}s")
-        for hid in id_list:
+        for hid in id_tuple:
             part = self._parts[hid]
             if part.owner != caller:
                 raise NotOwner(f"{caller!r} does not own device {hid!r}")
             if part.status is not PartStatus.OWNED:
                 raise Conflict(f"device {hid!r} is {part.status.value}, not reportable")
-        self._log.append(("report", caller, tuple(id_list), result))
+        self._log.append(("report", caller, id_tuple, result))
         report_id = f"R{len(self._reports) + 1:06d}"
-        self._reports[report_id] = VerificationReport(report_id, caller, tuple(id_list), result)
+        self._reports[report_id] = VerificationReport(report_id, caller, id_tuple, result)
         if result == 0:
-            for hid in id_list:
+            for hid in id_tuple:
                 part = self._parts[hid]
                 part.status = PartStatus.VERIFIED_OK
                 if self.engine is not None:
@@ -576,7 +582,7 @@ class Ledger:
             raise InvalidState("only failed reports are adjudicated")
         if report.ta_outcome is not None:
             raise Conflict(f"report {report_id!r} already adjudicated")
-        bad = tuple(sorted(set(defective)))
+        bad = _sorted_ids(defective)
         if not set(bad) <= set(report.ids):
             raise InvalidArgument("defective ids must be a subset of the report's ids")
         origins = dict(defect_origins or {})
@@ -682,15 +688,15 @@ class Ledger:
         return self._log
 
     def log_lines(self) -> Iterator[str]:
-        """The operation log as newline-delimited JSON with fixed field order."""
-        for rec in self._log:
-            yield _encode(_record_to_obj(rec))
+        """The operation log as JSON lines (without the newline), fields in fixed order."""
+        return map(_encode_record, self._log)
 
     def save_log(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        """Write the log as newline-delimited JSON; ``path`` is replaced atomically."""
+        with atomic_write(path) as fh:
+            write = fh.write
             for line in self.log_lines():
-                fh.write(line)
-                fh.write("\n")
+                write(line + "\n")
 
     def apply_record(self, rec: tuple) -> AdjudicationResult | None:
         """Apply one log record through the public (validating) API.
@@ -705,13 +711,15 @@ class Ledger:
         elif op == "entity":
             self.add_entity(Entity(rec[1], _field(Role, rec[2]), rec[3]))
         elif op == "type":
-            self._register_type(rec[3], rec[1], _field(PartKind, rec[2]))
+            self._register_type(rec[3], rec[1], _part_kind(rec[2]))
         elif op == "devices":
             self.register_devices(rec[1], rec[2], rec[3])
         elif op == "transfer":
             _, kind, part_type, src, dst, ids, amounts, currency = rec
-            prices = [_field(Money, a, currency) for a in amounts]
-            self._transfer(_field(PartKind, kind), src, part_type, len(ids), ids, prices, dst)
+            for amount in amounts:
+                if not is_amount(amount) or not currency:
+                    _field(Money, amount, currency)  # raises the error Money gives
+            self._transfer(_part_kind(kind), src, part_type, len(ids), ids, amounts, currency, dst)
         elif op == "confirm":
             self.confirm_transfer(rec[1], rec[2], len(rec[3]), rec[3])
         elif op == "reject":
@@ -727,8 +735,20 @@ class Ledger:
         return None
 
 
-#: Compact encoder for log lines, built once rather than per record.
-_encode = json.JSONEncoder(separators=(",", ":")).encode
+def _sorted_ids(ids: Iterable[HashedDeviceId]) -> tuple[HashedDeviceId, ...]:
+    """``ids`` sorted and without duplicates; a one-id tuple is already both."""
+    if type(ids) is tuple and len(ids) == 1:
+        return ids
+    return tuple(sorted(set(ids)))
+
+
+def _amounts(sale_prices: Sequence[Money]) -> tuple[tuple[float, ...], str]:
+    """The amounts of ``sale_prices`` and the one currency they share."""
+    currencies = {price.currency for price in sale_prices}
+    if len(currencies) > 1:
+        raise InvalidArgument("all sale prices in one transfer must share a currency")
+    currency = currencies.pop() if currencies else STANDARD_CURRENCY
+    return tuple(price.amount for price in sale_prices), currency
 
 
 def _field(build, *args):
@@ -739,42 +759,100 @@ def _field(build, *args):
         raise InvalidArgument(f"malformed log field: {exc}") from None
 
 
-def _record_to_obj(rec: tuple) -> dict:
-    op = rec[0]
-    if op == "chain":
-        return {"op": op, "id": rec[1]}
-    if op == "entity":
-        return {"op": op, "id": rec[1], "role": rec[2], "chain": rec[3]}
-    if op == "type":
-        return {"op": op, "name": rec[1], "kind": rec[2], "maker": rec[3]}
-    if op == "devices":
-        return {"op": op, "maker": rec[1], "type": rec[2], "ids": list(rec[3])}
-    if op == "transfer":
-        return {
-            "op": op,
-            "kind": rec[1],
-            "type": rec[2],
-            "src": rec[3],
-            "dst": rec[4],
-            "ids": list(rec[5]),
-            "amounts": list(rec[6]),
-            "currency": rec[7],
-        }
-    if op in ("confirm", "reject"):
-        return {"op": op, "caller": rec[1], "type": rec[2], "ids": list(rec[3])}
-    if op == "consume":
-        return {"op": op, "caller": rec[1], "chiplets": list(rec[2]), "ic": rec[3]}
-    if op == "report":
-        return {"op": op, "reporter": rec[1], "ids": list(rec[2]), "result": rec[3]}
-    if op == "adjudicate":
-        return {
-            "op": op,
-            "ta": rec[1],
-            "report": rec[2],
-            "defective": list(rec[3]),
-            "origins": {ic: chip for ic, chip in rec[4]},
-        }
-    raise InvalidArgument(f"unknown log operation {op!r}")
+def _part_kind(value) -> PartKind:
+    """The part kind named ``value``; a miss raises what ``_field(PartKind, value)`` does."""
+    try:
+        return _KINDS[value]
+    except (KeyError, TypeError):
+        return _field(PartKind, value)
+
+
+# -- log line encoding ----------------------------------------------------------
+#
+# Each operation has its own line template, with fields in the order that the
+# README's log format gives and ``_obj_to_record`` reads. Strings go through
+# ``encode_basestring_ascii`` and numbers through ``repr``, exactly as
+# ``json.dumps(obj, separators=(",", ":"))`` would write them. Every field the
+# ledger accepts is a ``str``, an amount that ``is_amount`` accepts (a built-in
+# ``int`` or finite ``float``, whose ``repr`` is ``int.__repr__`` or
+# ``float.__repr__``) or a result of 0 or 1, so every record in the log can be
+# written.
+
+
+def _ids(ids: Iterable[str]) -> str:
+    return ",".join(map(_q, ids))
+
+
+def _chain_line(rec: tuple) -> str:
+    return f'{{"op":"chain","id":{_q(rec[1])}}}'
+
+
+def _entity_line(rec: tuple) -> str:
+    _, eid, role, chain = rec
+    return f'{{"op":"entity","id":{_q(eid)},"role":{_q(role)},"chain":{_q(chain)}}}'
+
+
+def _type_line(rec: tuple) -> str:
+    _, name, kind, maker = rec
+    return f'{{"op":"type","name":{_q(name)},"kind":{_q(kind)},"maker":{_q(maker)}}}'
+
+
+def _devices_line(rec: tuple) -> str:
+    _, maker, part_type, ids = rec
+    return f'{{"op":"devices","maker":{_q(maker)},"type":{_q(part_type)},"ids":[{_ids(ids)}]}}'
+
+
+def _transfer_line(rec: tuple) -> str:
+    _, kind, part_type, src, dst, ids, amounts, currency = rec
+    return (
+        f'{{"op":"transfer","kind":{_q(kind)},"type":{_q(part_type)},"src":{_q(src)},'
+        f'"dst":{_q(dst)},"ids":[{_ids(ids)}],"amounts":[{",".join(map(repr, amounts))}],'
+        f'"currency":{_q(currency)}}}'
+    )
+
+
+def _confirm_line(rec: tuple) -> str:
+    op, caller, part_type, ids = rec
+    return f'{{"op":"{op}","caller":{_q(caller)},"type":{_q(part_type)},"ids":[{_ids(ids)}]}}'
+
+
+def _consume_line(rec: tuple) -> str:
+    _, caller, chiplets, ic = rec
+    return f'{{"op":"consume","caller":{_q(caller)},"chiplets":[{_ids(chiplets)}],"ic":{_q(ic)}}}'
+
+
+def _report_line(rec: tuple) -> str:
+    _, reporter, ids, result = rec
+    return f'{{"op":"report","reporter":{_q(reporter)},"ids":[{_ids(ids)}],"result":{result!r}}}'
+
+
+def _adjudicate_line(rec: tuple) -> str:
+    _, ta, report_id, defective, origins = rec
+    pairs = ",".join(f"{_q(ic)}:{_q(chip)}" for ic, chip in origins)
+    return (
+        f'{{"op":"adjudicate","ta":{_q(ta)},"report":{_q(report_id)},'
+        f'"defective":[{_ids(defective)}],"origins":{{{pairs}}}}}'
+    )
+
+
+#: The line template of each operation; ``reject`` shares the confirm layout.
+_LINE = {
+    "chain": _chain_line,
+    "entity": _entity_line,
+    "type": _type_line,
+    "devices": _devices_line,
+    "transfer": _transfer_line,
+    "confirm": _confirm_line,
+    "reject": _confirm_line,
+    "consume": _consume_line,
+    "report": _report_line,
+    "adjudicate": _adjudicate_line,
+}
+
+
+def _encode_record(rec: tuple) -> str:
+    """The JSON line of one log record."""
+    return _LINE[rec[0]](rec)
 
 
 def _obj_to_record(obj: dict) -> tuple:

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .domain import ChainId, Entity, EntityId, Money, Role, hash_device_id
+from .domain import ChainId, Entity, EntityId, Money, Role, chain_id_error, hash_device_id
 from .errors import ChipchainError, InvalidConfig
 from .ledger import Ledger, PartKind
 from .reputation import ObserverView, PenaltyTrace, ReputationEngine
@@ -91,6 +91,10 @@ class SimConfig:
         if not self.chains:
             raise InvalidConfig("at least one chain is required")
         names = [c for c, _ in self.chains]
+        for name in names:
+            error = chain_id_error(name)
+            if error is not None:
+                raise InvalidConfig(error)
         if len(set(names)) != len(names):
             raise InvalidConfig("chain ids must be unique")
         if not any(trusted for _, trusted in self.chains):
@@ -278,10 +282,11 @@ def generate_stream(
         yield ("chain", chain)
     for entity in topology.entities:
         yield ("entity", entity.id, entity.role.value, entity.chain)
+    chiplet_kind, ic_kind = PartKind.CHIPLET.value, PartKind.IC.value
     for cm, type_name in topology.chiplet_type_of.items():
-        yield ("type", type_name, PartKind.CHIPLET.value, cm)
+        yield ("type", type_name, chiplet_kind, cm)
     for icm, type_name in topology.ic_type_of.items():
-        yield ("type", type_name, PartKind.IC.value, icm)
+        yield ("type", type_name, ic_kind, icm)
 
     pools = _PartnerPools(topology, chain_names)
     cms = topology.by_role[Role.CHIPLET_MANUFACTURER]
@@ -325,9 +330,7 @@ def generate_stream(
         holder, amount, acquisition = cm, base_amount, base_amount
         reached = True
         for i, nxt in enumerate(stations):
-            yield (
-                "transfer", PartKind.CHIPLET.value, type_name, holder, nxt, ids, (amount,), currency
-            )
+            yield ("transfer", chiplet_kind, type_name, holder, nxt, ids, (amount,), currency)
             yield ("confirm", nxt, type_name, ids)
             txns += 1
             holder, acquisition = nxt, amount
@@ -361,9 +364,7 @@ def generate_stream(
         holder, amount = icm, sum(a for _, a in batch) * markup
         reached = True
         for i, nxt in enumerate(stations):
-            yield (
-                "transfer", PartKind.IC.value, ic_type, holder, nxt, ic_ids, (amount,), currency
-            )
+            yield ("transfer", ic_kind, ic_type, holder, nxt, ic_ids, (amount,), currency)
             yield ("confirm", nxt, ic_type, ic_ids)
             txns += 1
             holder = nxt

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -211,13 +212,22 @@ class TestMalformedConfigs:
             (json.dumps({"sim": [1, 2]}), "config section 'sim' must be a JSON object"),
             (json.dumps([SMALL_CONFIG]), "config must be a JSON object"),
             ('{"sim": ', "Expecting value"),
+            (small_config_with("sim", {"chains": [["A_B", True]]}),
+             "chain id 'A_B' may not contain '_' or '^'"),
+            (small_config_with("sim", {"chains": [["X^Y", True]]}),
+             "chain id 'X^Y' may not contain '_' or '^'"),
+            (small_config_with("sim", {"chains": [[7, True]]}),
+             "chain id must be a non-empty string"),
+            (small_config_with("sim", {"base_unit_cost": {"amount": True}}),
+             "must be real number, not bool"),
         ],
         ids=[
             "unknown_reputation_key", "reputation_exchange", "unknown_behaviors_key",
             "sim_assignment", "unknown_section", "string_decrease_rate",
             "string_n_transactions", "negative_seed", "string_uniform_p", "scalar_hop_range",
             "scalar_sleeper", "string_switch_at", "section_not_object", "top_level_array",
-            "bad_json",
+            "bad_json", "separator_chain_id", "meta_prefix_chain_id", "numeric_chain_id",
+            "bool_base_unit_cost",
         ],
     )
     def test_diagnosed_with_path(self, tmp_path, capsys, command, text, message):
@@ -313,8 +323,10 @@ class TestMalformedLogs:
             (['{"op":"entity","id":"x","role":"BOGUS","chain":"TB"}'], "'BOGUS' is not a valid"),
             (['{"op":"type","name":"t","kind":"gizmo","maker":"cm"}'], "'gizmo' is not a valid"),
             (STRING_AMOUNT, "must be real number, not str"),
+            (STRING_AMOUNT[:-1] + [STRING_AMOUNT[-1].replace('["5"]', "[true]")],
+             "must be real number, not bool"),
         ],
-        ids=["bad_role", "bad_kind", "string_amount"],
+        ids=["bad_role", "bad_kind", "string_amount", "bool_amount"],
     )
     def test_bad_field_values_are_diagnosed(self, tmp_path, capsys, command, lines, message):
         log = tmp_path / "bad_field.ndjson"
@@ -358,6 +370,59 @@ GOLDEN_DIGESTS = {
     # config dataclasses.
     "sim/run.json": "e6d5af8eb7d3d0028d83ebac9fad6510e6a0dbf987da05458a1fca88b5de0cbd",
 }
+
+
+class TestAtomicWrites:
+    """A writer that fails part-way leaves the earlier file whole under its name."""
+
+    LINES_BEFORE_FAILURE = 2
+
+    @pytest.mark.parametrize(
+        "name", ["ledger.ndjson", "scores.csv", "penalties.ndjson", "run.json"]
+    )
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path, monkeypatch, name):
+        from chipchain import files
+
+        config = tmp_path / "golden.json"
+        config.write_text(json.dumps(GOLDEN_CONFIG))
+        out = tmp_path / "sim"
+        assert run(["simulate", "--config", config, "--out", out]) == 0
+        earlier = (out / name).read_bytes()
+        real_open = open
+        k = self.LINES_BEFORE_FAILURE
+
+        class FailingFile:
+            """A file whose writes fail once ``k`` lines are out, as on a full disk."""
+
+            def __init__(self, fh):
+                self.fh, self.lines = fh, 0
+
+            def write(self, text):
+                if self.lines >= k:
+                    raise OSError(28, "No space left on device")
+                self.lines += text.count("\n")
+                return self.fh.write(text)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+        def failing_open(path, *args, **kwargs):
+            fh = real_open(path, *args, **kwargs)
+            return FailingFile(fh) if Path(path).name == f"{name}.tmp" else fh
+
+        monkeypatch.setattr(files, "open", failing_open, raising=False)
+        argv = ["simulate", "--config", config, "--out", out, "--seed", "6"]
+        assert run(argv) == 1
+        assert (out / name).read_bytes() == earlier
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["ledger.ndjson", "scores.csv", "penalties.ndjson", "run.json"]
+        )
+        monkeypatch.undo()
+        assert run(argv) == 0
+        assert (out / name).read_bytes() != earlier
 
 
 class TestGoldenOutputs:

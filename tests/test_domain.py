@@ -112,6 +112,24 @@ class TestMoneyAndTable:
         with pytest.raises(InvalidArgument, match="finite"):
             Money(value)
 
+    @pytest.mark.parametrize("value", [True, False, "5", None, [1.0]])
+    def test_non_number_amount_rejected(self, value):
+        with pytest.raises(TypeError, match="must be real number"):
+            Money(value)
+
+    def test_amount_beyond_double_range_rejected(self):
+        with pytest.raises(InvalidArgument, match="finite"):
+            Money(10**400)
+
+    @pytest.mark.parametrize("value", [0, 7, 0.0, 5e-324, 1e16, 10**15])
+    def test_int_and_float_amounts_accepted(self, value):
+        assert Money(value).amount == value
+
+    @pytest.mark.parametrize("code", [5, "", None])
+    def test_currency_code_must_be_a_non_empty_string(self, code):
+        with pytest.raises(InvalidArgument, match="currency code"):
+            ExchangeTable({code: 2.0})
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_rate_rejected(self, value):
         with pytest.raises(InvalidArgument):

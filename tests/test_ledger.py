@@ -1,10 +1,12 @@
 import json
+import math
 
 import pytest
 
 from chipchain.domain import STANDARD_TABLE, Entity, Money, Role, hash_device_id
 from chipchain.errors import (
     AlreadyExists,
+    ChipchainError,
     Conflict,
     CountMismatch,
     InvalidArgument,
@@ -12,12 +14,15 @@ from chipchain.errors import (
     NotFound,
     NotOwner,
     PermissionDenied,
+    UnknownCurrency,
 )
 from chipchain.harness import oracle_max_deviation
 from chipchain.ledger import (
     Ledger,
     PartStatus,
     TxnStatus,
+    _encode_record,
+    _LINE,
     load_log_records,
 )
 from chipchain.reputation import ObserverView, ReputationEngine, ReputationParams
@@ -95,6 +100,17 @@ class TestTypeRegistration:
         ledger.register_chiplet_type("cm1", "shared-name")
         with pytest.raises(AlreadyExists):
             ledger.register_ic_type("icm1", "shared-name")
+
+    @pytest.mark.parametrize("name", [3, None, b"t", ("t",)])
+    def test_type_name_must_be_a_string(self, name, tmp_path):
+        # A non-string name would be logged as a JSON value the decoder refuses.
+        ledger = small_world()
+        length = ledger.log_length()
+        with pytest.raises(InvalidArgument, match="type name must be a string"):
+            ledger.register_chiplet_type("cm1", name)
+        assert ledger.log_length() == length
+        ledger.save_log(tmp_path / "ledger.ndjson")
+        assert len(load_log_records(tmp_path / "ledger.ndjson")) == length
 
 
 class TestDeviceRegistration:
@@ -395,6 +411,18 @@ class TestReportAndAdjudication:
         for h in self.chiplets:
             assert self.ledger.part(h).status is PartStatus.VERIFIED_OK
 
+    def test_verified_part_cannot_be_reported_again(self):
+        # A second pass report would reward every seller on the path again.
+        self.ledger.report("icm1", self.chiplets, 0)
+        length, state = self.ledger.log_length(), self.ledger.state_json()
+        for result in (0, 1):
+            with pytest.raises(Conflict, match="verified_ok, not reportable"):
+                self.ledger.report("icm1", self.chiplets[:1], result)
+        assert self.ledger.log_length() == length
+        assert self.ledger.state_json() == state
+        assert self.engine.reputation("cm1").r == pytest.approx(30.0)
+        assert self.engine.reputation("cd3").r == pytest.approx(33.0)
+
     def test_fail_report_defers_reputation(self):
         self.ledger.report("icm1", self.chiplets, 1)
         assert self.engine.reputation("cm1").r == 0.0
@@ -453,6 +481,67 @@ class TestReportAndAdjudication:
         rid = self.ledger.report("icm1", self.chiplets, 1)
         with pytest.raises(InvalidArgument):
             self.ledger.adjudicate("ta-tb", rid, [hid("other")])
+
+
+class TestTrustedCrossing:
+    """A sale between two trusted chains: the meta hop never uses up a discount step."""
+
+    M, D = 1.0, 2.0
+
+    def setup_method(self):
+        self.ledger = Ledger()
+        for chain in ("T1", "T2"):
+            self.ledger.add_chain(chain)
+        for eid, role, chain in [
+            ("cm", Role.CHIPLET_MANUFACTURER, "T1"),
+            ("cd", Role.CHIPLET_DISTRIBUTOR, "T2"),
+            ("icm", Role.IC_MANUFACTURER, "T2"),
+            ("ta", Role.TRUSTED_AUTHORITY, "T2"),
+        ]:
+            self.ledger.add_entity(Entity(eid, role, chain))
+        view = ObserverView("T1", frozenset({"T1", "T2"}))
+        params = ReputationParams(decrease_rate=self.M, trusted_discount=self.D)
+        self.engine = self.ledger.attach(ReputationEngine(view, params))
+        self.ledger.register_chiplet_type("cm", "CH")
+        self.part = hid("crossing")
+        self.ledger.register_devices("cm", "CH", [self.part])
+        ship(self.ledger, "cm", "cd", "CH", [self.part], 8.0)  # crosses T1 -> T2
+        ship(self.ledger, "cd", "icm", "CH", [self.part], 10.0)
+
+    def test_path_runs_through_the_meta_entity(self):
+        assert self.ledger.provenance(self.part) == [
+            ("cm", "X^T1_T2", 8.0), ("X^T1_T2", "cd", 8.0), ("cd", "icm", 10.0)
+        ]
+
+    def test_penalty_rates_are_exact(self):
+        rid = self.ledger.report("icm", [self.part], 1)
+        (trace,) = self.ledger.adjudicate("ta", rid, [self.part]).traces
+        m, d = self.M, self.D
+        # cm's trusted sale discounts the meta hop once; the meta hop itself
+        # passes the rate on to the next seller unchanged.
+        assert trace.entries == [
+            ("cm", m, 1 + m), ("X^T1_T2", m / d, 1 + m / d), ("cd", m / d, 1 + m / d)
+        ]
+        assert self.engine.reputation("cm").r == 0.0
+        assert self.engine.reputation("X^T1_T2").r == 0.0
+        assert self.engine.reputation("cd").r == 0.0
+        assert [self.engine.reputation(e).r_ideal for e in ("cm", "X^T1_T2", "cd")] == [
+            8.0, 8.0, 10.0
+        ]
+
+    def test_next_seller_after_a_pass_keeps_the_exact_rate(self):
+        # Rewards first, so that each division shows in r.
+        self.ledger.report("icm", [self.part], 0)
+        other = hid("crossing-2")
+        self.ledger.register_devices("cm", "CH", [other])
+        ship(self.ledger, "cm", "cd", "CH", [other], 8.0)
+        ship(self.ledger, "cd", "icm", "CH", [other], 10.0)
+        rid = self.ledger.report("icm", [other], 1)
+        self.ledger.adjudicate("ta", rid, [other])
+        m, d = self.M, self.D
+        assert self.engine.reputation("cm").r == 8.0 / (1 + m)
+        assert self.engine.reputation("X^T1_T2").r == 8.0 / (1 + m / d)
+        assert self.engine.reputation("cd").r == 10.0 / (1 + m / d)
 
 
 class TestJoinedAttribution:
@@ -548,6 +637,197 @@ class TestReplayDeterminism:
             obj = json.loads(line)
             assert "op" in obj
             assert json.dumps(obj, separators=(",", ":")) == line
+
+
+#: Field names of each operation's log line, in the documented order.
+LOG_FIELDS = {
+    "chain": ("id",),
+    "entity": ("id", "role", "chain"),
+    "type": ("name", "kind", "maker"),
+    "devices": ("maker", "type", "ids"),
+    "transfer": ("kind", "type", "src", "dst", "ids", "amounts", "currency"),
+    "confirm": ("caller", "type", "ids"),
+    "reject": ("caller", "type", "ids"),
+    "consume": ("caller", "chiplets", "ic"),
+    "report": ("reporter", "ids", "result"),
+    "adjudicate": ("ta", "report", "defective", "origins"),
+}
+
+#: Strings that JSON must escape or that ``ensure_ascii`` writes as \u escapes.
+ODD_STRINGS = [
+    "plain",
+    'quote"inside',
+    "back\\slash",
+    "control\x00\x01\x1f\t\n\r\x7f",
+    "non-ascii \u00e9\u4e2d\u2028\U0001f600",
+    "</script>",
+    "",
+]
+
+
+def documented_obj(rec: tuple) -> dict:
+    """The JSON object of a record, built from ``LOG_FIELDS``."""
+    obj = {"op": rec[0]}
+    for name, value in zip(LOG_FIELDS[rec[0]], rec[1:]):
+        if name == "origins":
+            value = dict(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        obj[name] = value
+    return obj
+
+
+def records_with(s: str, amounts: tuple) -> list[tuple]:
+    """One record of every operation, with ``s`` in every string field."""
+    ids = (s, s + "2")
+    return [
+        ("chain", s),
+        ("entity", s, s, s),
+        ("type", s, s, s),
+        ("devices", s, s, ids),
+        ("transfer", s, s, s, s, ids, amounts, s),
+        ("confirm", s, s, ids),
+        ("reject", s, s, (s,)),
+        ("consume", s, ids, s),
+        ("report", s, ids, 0),
+        ("report", s, (), 1),
+        ("adjudicate", s, s, ids, ((s, s + "c"), (s + "2", s))),
+        ("adjudicate", s, s, (), ()),
+    ]
+
+
+class TestLogEncoding:
+    @pytest.mark.parametrize("s", ODD_STRINGS)
+    @pytest.mark.parametrize(
+        "amounts",
+        [(5,), (0, 7, 10**15), (1e16, 5e-324, 0.1 + 0.2), (100.0, 110.00000000000001), ()],
+    )
+    def test_every_op_encodes_like_json_dumps(self, s, amounts):
+        for rec in records_with(s, amounts):
+            line = _encode_record(rec)
+            assert line == json.dumps(documented_obj(rec), separators=(",", ":"))
+            assert line.isascii()
+
+    def test_every_op_is_covered(self):
+        assert {rec[0] for rec in records_with("x", (1.0,))} == set(LOG_FIELDS) == set(_LINE)
+
+    def test_odd_names_round_trip_through_a_saved_log(self, tmp_path):
+        from chipchain.domain import ExchangeTable
+
+        odd = [s for s in ODD_STRINGS if s and "_" not in s and "^" not in s]
+        ledger = Ledger(exchange=ExchangeTable({odd[-1]: 2.0}))
+        for k, s in enumerate(odd):
+            ledger.add_chain(s)
+            ledger.add_entity(Entity(f"cm{s}", Role.CHIPLET_MANUFACTURER, s))
+            ledger.add_entity(Entity(f"cd{s}", Role.CHIPLET_DISTRIBUTOR, s))
+            ledger.register_chiplet_type(f"cm{s}", f"type {s}")
+            part = hid(f"odd-{k}")
+            ledger.register_devices(f"cm{s}", f"type {s}", [part])
+            ledger.transfer_chiplets(
+                f"cm{s}", f"type {s}", 1, [part], [Money(k + 0.1, odd[-1])], f"cd{s}"
+            )
+            ledger.confirm_transfer(f"cd{s}", f"type {s}", 1, [part])
+        path = tmp_path / "odd.ndjson"
+        ledger.save_log(path)
+        for line, rec in zip(path.read_text(encoding="utf-8").splitlines(), ledger.log_records()):
+            assert line == json.dumps(documented_obj(rec), separators=(",", ":"))
+        restored = Ledger(exchange=ledger.exchange)
+        for rec in load_log_records(path):
+            restored.apply_record(rec)
+        assert restored.state_json() == ledger.state_json()
+
+
+#: A world in which cm owns two registered chiplets of type t and may sell them to cd.
+SALE_SETUP = [
+    ("chain", "TB"),
+    ("entity", "cm", "CM", "TB"),
+    ("entity", "cd", "CD", "TB"),
+    ("type", "t", "chiplet", "cm"),
+    ("devices", "cm", "t", ("a" * 64, "b" * 64)),
+]
+
+
+def sale(ids=("a" * 64,), amounts=(5.0,), currency="STD", kind="chiplet"):
+    return ("transfer", kind, "t", "cm", "cd", ids, amounts, currency)
+
+
+class TestMalformedTransferRecords:
+    """Each malformed transfer record fails with a fixed error type and message.
+
+    All but the last two cases raised the same error before amounts were
+    checked without building a ``Money``; a bool was then taken as a number
+    and a huge int ended in an ``OverflowError``.
+    """
+
+    @pytest.mark.parametrize(
+        "rec, error, message",
+        [
+            (sale(amounts=(-1.0,)), InvalidArgument,
+             "money amount must be finite and >= 0, got -1.0"),
+            (sale(amounts=(-3,)), InvalidArgument, "money amount must be finite and >= 0, got -3"),
+            (sale(amounts=(math.nan,)), InvalidArgument,
+             "money amount must be finite and >= 0, got nan"),
+            (sale(amounts=(math.inf,)), InvalidArgument,
+             "money amount must be finite and >= 0, got inf"),
+            (sale(amounts=("5",)), InvalidArgument,
+             "malformed log field: must be real number, not str"),
+            (sale(amounts=(None,)), InvalidArgument,
+             "malformed log field: must be real number, not NoneType"),
+            (sale(amounts=()), CountMismatch, "declared 1 units, got 1 ids and 0 prices"),
+            (sale(ids=("a" * 64, "b" * 64), amounts=(5.0, "5")), InvalidArgument,
+             "malformed log field: must be real number, not str"),
+            (sale(ids=("a" * 64, "b" * 64), amounts=(5.0, -5.0)), InvalidArgument,
+             "money amount must be finite and >= 0, got -5.0"),
+            (sale(kind="gizmo"), InvalidArgument,
+             "malformed log field: 'gizmo' is not a valid PartKind"),
+            (sale(kind="gizmo", amounts=("5",)), InvalidArgument,
+             "malformed log field: must be real number, not str"),
+            (sale(kind="ic"), PermissionDenied, "role CM may not transfer ics"),
+            (sale(ids=()), CountMismatch, "declared 0 units, got 0 ids and 1 prices"),
+            (sale(ids=(), amounts=()), InvalidArgument, "cannot transfer zero devices"),
+            (sale(ids=("a" * 64, "a" * 64), amounts=(5.0, 5.0)), CountMismatch,
+             "declared 2 units, got 1 ids and 2 prices"),
+            (sale(currency=""), InvalidArgument, "currency code must be non-empty"),
+            (sale(amounts=("5",), currency=""), InvalidArgument,
+             "malformed log field: must be real number, not str"),
+            (sale(ids=("a" * 64, "b" * 64), amounts=(5.0, "5"), currency=""), InvalidArgument,
+             "currency code must be non-empty"),
+            (sale(amounts=(), currency=""), CountMismatch,
+             "declared 1 units, got 1 ids and 0 prices"),
+            (sale(currency="EUR"), UnknownCurrency, "no exchange rate for currency 'EUR'"),
+            (sale(amounts=(True,)), InvalidArgument,
+             "malformed log field: must be real number, not bool"),
+            (sale(amounts=(10**400,)), InvalidArgument,
+             "money amount must be finite and >= 0, got 1000"),
+        ],
+        ids=[
+            "negative", "negative_int", "nan", "inf", "string", "null", "empty_amounts",
+            "mixed", "mixed_negative", "bad_kind", "bad_kind_and_amount", "ic_kind",
+            "empty_ids", "empty_ids_and_amounts", "duplicate_ids", "empty_currency",
+            "empty_currency_string_amount", "empty_currency_mixed", "empty_currency_no_amounts",
+            "unknown_currency", "bool", "huge_int",
+        ],
+    )
+    def test_error_type_and_message(self, rec, error, message):
+        ledger = Ledger()
+        for setup in SALE_SETUP:
+            ledger.apply_record(setup)
+        state = ledger.state_json()
+        with pytest.raises(ChipchainError) as exc:
+            ledger.apply_record(rec)
+        assert type(exc.value) is error
+        assert str(exc.value).startswith(message)
+        assert ledger.log_length() == len(SALE_SETUP)
+        assert ledger.state_json() == state
+
+    def test_valid_amounts_are_logged_as_given(self):
+        ledger = Ledger()
+        for setup in SALE_SETUP:
+            ledger.apply_record(setup)
+        rec = sale(ids=("a" * 64, "b" * 64), amounts=(5, 0.1 + 0.2))
+        ledger.apply_record(rec)
+        assert ledger.log_records()[-1] == rec
+        assert ledger.transactions[-1].amounts == (5, 0.1 + 0.2)
 
 
 class TestMetaIdentity:
