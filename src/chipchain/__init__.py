@@ -28,15 +28,7 @@ from .errors import (
     PermissionDenied,
     UnknownCurrency,
 )
-from .ledger import (
-    Ledger,
-    PartKind,
-    PartRecord,
-    PartStatus,
-    Transaction,
-    TxnStatus,
-    VerificationReport,
-)
+from .ledger import Ledger, PartKind, PartRecord, PartStatus
 from .reputation import (
     EntityReputation,
     ObserverView,

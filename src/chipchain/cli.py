@@ -24,7 +24,6 @@ import json
 import sys
 from pathlib import Path
 
-from .domain import Money
 from .errors import ChipchainError, InvalidConfig, NotFound
 from .files import atomic_write
 from .harness import (
@@ -75,8 +74,6 @@ def load_config(
             if unknown:
                 raise InvalidConfig(f"unknown {name} config keys: {sorted(unknown)}")
         sim_raw = dict(raw.get("sim", {}))
-        if "base_unit_cost" in sim_raw:
-            sim_raw["base_unit_cost"] = Money(**sim_raw["base_unit_cost"])
         if "chains" in sim_raw:
             sim_raw["chains"] = tuple((c, bool(t)) for c, t in sim_raw["chains"])
         if "hop_range" in sim_raw:

@@ -50,10 +50,12 @@ class Entity:
     chain: ChainId
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise InvalidArgument("entity id must be non-empty")
-        if not self.chain:
-            raise InvalidArgument("entity chain must be non-empty")
+        if type(self.id) is not str or not self.id:
+            raise InvalidArgument(f"entity id must be a non-empty string, got {self.id!r}")
+        if type(self.chain) is not str or not self.chain:
+            raise InvalidArgument(f"entity chain must be a non-empty string, got {self.chain!r}")
+        if not isinstance(self.role, Role):
+            raise InvalidArgument(f"entity role must be a Role, got {self.role!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -80,12 +80,6 @@ class PartStatus(str, Enum):
     SUSPICIOUS = "suspicious"
 
 
-class TxnStatus(str, Enum):
-    PENDING = "pending"
-    CONFIRMED = "confirmed"
-    REJECTED = "rejected"
-
-
 #: Prefix of meta-entity ids; user entities may not take it.
 META_PREFIX = "X^"
 
@@ -133,40 +127,6 @@ class PartRecord:
 
 
 @dataclass(slots=True)
-class Transaction:
-    """One batched device transfer: the unit of the recorded transaction stream.
-
-    ``ids`` is lexicographically sorted and ``amounts[k]`` is the per-unit sale
-    price of ``ids[k]``. ``via_meta`` names the meta-entity interposed when the
-    transfer crossed chains.
-    """
-
-    seq: int
-    part_type: str
-    source: EntityId
-    dest: EntityId
-    ids: tuple[HashedDeviceId, ...]
-    amounts: tuple[float, ...]
-    currency: str
-    status: TxnStatus = TxnStatus.PENDING
-    via_meta: EntityId | None = None
-
-    @property
-    def count(self) -> int:
-        return len(self.ids)
-
-
-@dataclass(slots=True)
-class VerificationReport:
-    report_id: str
-    reporter: EntityId
-    ids: tuple[HashedDeviceId, ...]
-    result: int
-    ta_outcome: tuple[HashedDeviceId, ...] | None = None
-    defect_origins: tuple[tuple[HashedDeviceId, HashedDeviceId], ...] = ()
-
-
-@dataclass(slots=True)
 class VerifyResult:
     """Outcome of a read-only lookup; absence is a result, not an error."""
 
@@ -191,9 +151,12 @@ class Ledger:
         self._entities: dict[EntityId, Entity] = {}
         self._types: dict[str, PartType] = {}
         self._parts: dict[HashedDeviceId, PartRecord] = {}
-        self._pending: dict[tuple[HashedDeviceId, ...], Transaction] = {}  # by txn.ids
-        self._txns: list[Transaction] = []
-        self._reports: dict[str, VerificationReport] = {}
+        # Each operation is stored once, as its log record: the transfer record
+        # of each pending ids tuple, and the report and adjudicate record of
+        # each report id.
+        self._pending: dict[tuple[HashedDeviceId, ...], tuple] = {}
+        self._reports: dict[str, tuple] = {}
+        self._adjudications: dict[str, tuple] = {}
         self._meta: dict[tuple[ChainId, ChainId], EntityId] = {}
         self._log: list[tuple] = []
         self.suspicious_events: list[tuple[EntityId, HashedDeviceId]] = []
@@ -208,10 +171,6 @@ class Ledger:
     @property
     def chains(self) -> frozenset[ChainId]:
         return frozenset(self._chains)
-
-    @property
-    def transactions(self) -> Sequence[Transaction]:
-        return self._txns
 
     @property
     def parts(self) -> Mapping[HashedDeviceId, PartRecord]:
@@ -234,12 +193,6 @@ class Ledger:
         if ptype is None:
             raise NotFound(f"unknown part type {name!r}")
         return ptype
-
-    def report_record(self, report_id: str) -> VerificationReport:
-        rep = self._reports.get(report_id)
-        if rep is None:
-            raise NotFound(f"unknown report {report_id!r}")
-        return rep
 
     def log_length(self) -> int:
         return len(self._log)
@@ -331,9 +284,9 @@ class Ledger:
         ids: Iterable[HashedDeviceId],
         sale_prices: Sequence[Money],
         dest: EntityId,
-    ) -> Transaction:
+    ) -> None:
         amounts, currency = _amounts(sale_prices)
-        return self._transfer(PartKind.CHIPLET, caller, part_type, n, ids, amounts, currency, dest)
+        self._transfer(PartKind.CHIPLET, caller, part_type, n, ids, amounts, currency, dest)
 
     def transfer_ics(
         self,
@@ -343,9 +296,9 @@ class Ledger:
         ids: Iterable[HashedDeviceId],
         sale_prices: Sequence[Money],
         dest: EntityId,
-    ) -> Transaction:
+    ) -> None:
         amounts, currency = _amounts(sale_prices)
-        return self._transfer(PartKind.IC, caller, part_type, n, ids, amounts, currency, dest)
+        self._transfer(PartKind.IC, caller, part_type, n, ids, amounts, currency, dest)
 
     def _transfer(
         self,
@@ -357,7 +310,7 @@ class Ledger:
         amounts: tuple[float, ...],
         currency: str,
         dest: EntityId,
-    ) -> Transaction:
+    ) -> None:
         """Initiate a transfer; ``amounts`` are valid amounts, per unit, in ``currency``."""
         id_tuple = _sorted_ids(ids)
         if n != len(id_tuple) or n != len(amounts):
@@ -390,71 +343,58 @@ class Ledger:
                 raise Conflict(f"device {hid!r} is already in transit")
             if part.status not in TRANSFERABLE:
                 raise Conflict(f"device {hid!r} is {part.status.value}, not transferable")
-        self._log.append(
-            ("transfer", kind.value, part_type, caller, dest, id_tuple, amounts, currency)
-        )
-        txn = Transaction(
-            seq=len(self._txns) + 1,
-            part_type=part_type,
-            source=caller,
-            dest=dest,
-            ids=id_tuple,
-            amounts=amounts,
-            currency=currency,
-        )
-        self._txns.append(txn)
-        self._pending[id_tuple] = txn
+        rec = ("transfer", kind.value, part_type, caller, dest, id_tuple, amounts, currency)
+        self._log.append(rec)
+        self._pending[id_tuple] = rec
         for hid in id_tuple:
             self._parts[hid].status = PartStatus.IN_TRANSIT
-        return txn
 
-    def _find_pending(self, part_type: str, ids: tuple[HashedDeviceId, ...]) -> Transaction:
-        """The pending transfer of exactly ``ids``, sorted and without duplicates."""
-        txn = self._pending.get(ids)
-        if txn is None or txn.part_type != part_type:
+    def _find_pending(
+        self, caller: EntityId, part_type: str, ids: tuple[HashedDeviceId, ...]
+    ) -> tuple:
+        """The transfer record pending on exactly ``ids`` (sorted, no duplicates) to ``caller``."""
+        rec = self._pending.get(ids)
+        if rec is None or rec[2] != part_type:
             raise NotFound("no matching pending transfer for these ids")
-        return txn
+        if rec[4] != caller:
+            raise PermissionDenied(f"{caller!r} is not the destination of this transfer")
+        return rec
 
     def confirm_transfer(
         self, caller: EntityId, part_type: str, n: int, ids: Iterable[HashedDeviceId]
-    ) -> Transaction:
+    ) -> None:
         id_tuple = _sorted_ids(ids)
         if n != len(id_tuple):
             raise CountMismatch(f"declared {n} units, got {len(id_tuple)} ids")
-        txn = self._find_pending(part_type, id_tuple)
-        if txn.dest != caller:
-            raise PermissionDenied(f"{caller!r} is not the destination of this transfer")
-        self._log.append(("confirm", caller, part_type, txn.ids))
-        del self._pending[txn.ids]
-        txn.status = TxnStatus.CONFIRMED
-        src_chain = self._entities[txn.source].chain
-        dst_chain = self._entities[txn.dest].chain
+        _, _, _, source, dest, id_tuple, amounts, currency = self._find_pending(
+            caller, part_type, id_tuple
+        )
+        self._log.append(("confirm", caller, part_type, id_tuple))
+        del self._pending[id_tuple]
+        src_chain = self._entities[source].chain
+        dst_chain = self._entities[dest].chain
+        via_meta = None
         if src_chain != dst_chain:
-            txn.via_meta = self._get_or_create_meta(src_chain, dst_chain)
-        for hid, amount in zip(txn.ids, txn.amounts):
+            via_meta = self._get_or_create_meta(src_chain, dst_chain)
+        for hid, amount in zip(id_tuple, amounts):
             part = self._parts[hid]
             part.owner = caller
             part.status = PartStatus.OWNED
-            if txn.via_meta is None:
-                part.path.append((txn.source, txn.dest, amount, txn.currency))
+            if via_meta is None:
+                part.path.append((source, dest, amount, currency))
             else:
-                part.path.append((txn.source, txn.via_meta, amount, txn.currency))
-                part.path.append((txn.via_meta, txn.dest, amount, txn.currency))
-        return txn
+                part.path.append((source, via_meta, amount, currency))
+                part.path.append((via_meta, dest, amount, currency))
 
     def reject_transfer(
         self, caller: EntityId, part_type: str, ids: Iterable[HashedDeviceId]
-    ) -> Transaction:
+    ) -> None:
         """Decline a pending transfer, returning the parts to their owner."""
-        txn = self._find_pending(part_type, _sorted_ids(ids))
-        if txn.dest != caller:
-            raise PermissionDenied(f"{caller!r} is not the destination of this transfer")
-        self._log.append(("reject", caller, part_type, txn.ids))
-        del self._pending[txn.ids]
-        txn.status = TxnStatus.REJECTED
-        for hid in txn.ids:
+        id_tuple = self._find_pending(caller, part_type, _sorted_ids(ids))[5]
+        self._log.append(("reject", caller, part_type, id_tuple))
+        del self._pending[id_tuple]
+        for hid in id_tuple:
             self._parts[hid].status = PartStatus.OWNED
-        return txn
 
     # -- cross-chain meta-entities ----------------------------------------------
 
@@ -546,9 +486,10 @@ class Ledger:
                 raise NotOwner(f"{caller!r} does not own device {hid!r}")
             if part.status is not PartStatus.OWNED:
                 raise Conflict(f"device {hid!r} is {part.status.value}, not reportable")
-        self._log.append(("report", caller, id_tuple, result))
+        rec = ("report", caller, id_tuple, result)
+        self._log.append(rec)
         report_id = f"R{len(self._reports) + 1:06d}"
-        self._reports[report_id] = VerificationReport(report_id, caller, id_tuple, result)
+        self._reports[report_id] = rec
         if result == 0:
             for hid in id_tuple:
                 part = self._parts[hid]
@@ -575,15 +516,18 @@ class Ledger:
         ta_entity = self.entity(ta)
         if ta_entity.role is not Role.TRUSTED_AUTHORITY:
             raise PermissionDenied(f"{ta!r} is not a trusted authority")
-        report = self.report_record(report_id)
-        if self._entities[report.reporter].chain != ta_entity.chain:
+        report = self._reports.get(report_id)
+        if report is None:
+            raise NotFound(f"unknown report {report_id!r}")
+        _, reporter, report_ids, result = report
+        if self._entities[reporter].chain != ta_entity.chain:
             raise PermissionDenied("adjudicating TA must sit on the reporter's chain")
-        if report.result != 1:
+        if result != 1:
             raise InvalidState("only failed reports are adjudicated")
-        if report.ta_outcome is not None:
+        if report_id in self._adjudications:
             raise Conflict(f"report {report_id!r} already adjudicated")
         bad = _sorted_ids(defective)
-        if not set(bad) <= set(report.ids):
+        if not set(bad) <= set(report_ids):
             raise InvalidArgument("defective ids must be a subset of the report's ids")
         origins = dict(defect_origins or {})
         for ic_id, chiplet_id in origins.items():
@@ -593,9 +537,9 @@ class Ledger:
             if origin.consumed_into != ic_id:
                 raise InvalidArgument(f"{chiplet_id!r} was not consumed into {ic_id!r}")
         origin_pairs = tuple(sorted(origins.items()))
-        self._log.append(("adjudicate", ta, report_id, bad, origin_pairs))
-        report.ta_outcome = bad
-        report.defect_origins = origin_pairs
+        rec = ("adjudicate", ta, report_id, bad, origin_pairs)
+        self._log.append(rec)
+        self._adjudications[report_id] = rec
         traces: list[PenaltyTrace] = []
         for hid in bad:
             part = self._parts[hid]
@@ -652,30 +596,10 @@ class Ledger:
                 }
                 for p in sorted(self._parts.values(), key=lambda p: p.hashed_id)
             ],
-            "transactions": [
-                {
-                    "seq": t.seq,
-                    "type": t.part_type,
-                    "source": t.source,
-                    "dest": t.dest,
-                    "ids": list(t.ids),
-                    "amounts": list(t.amounts),
-                    "currency": t.currency,
-                    "status": t.status.value,
-                    "via_meta": t.via_meta,
-                }
-                for t in self._txns
-            ],
+            "transactions": self._transaction_rows(),
             "reports": [
-                {
-                    "id": r.report_id,
-                    "reporter": r.reporter,
-                    "ids": list(r.ids),
-                    "result": r.result,
-                    "ta_outcome": list(r.ta_outcome) if r.ta_outcome is not None else None,
-                    "defect_origins": [list(p) for p in r.defect_origins],
-                }
-                for r in sorted(self._reports.values(), key=lambda r: r.report_id)
+                self._report_row(report_id, rec)
+                for report_id, rec in sorted(self._reports.items())
             ],
             "meta_entities": [
                 {"src": src, "dst": dst, "id": meta_id}
@@ -683,6 +607,56 @@ class Ledger:
             ],
         }
         return json.dumps(state, sort_keys=True, separators=(",", ":"))
+
+    def _transaction_rows(self) -> list[dict]:
+        """One row per transfer record, numbered in log order, with its outcome.
+
+        A transfer stays pending until a confirm or reject record names its
+        ids; a confirmed transfer between two chains went through the meta-entity
+        of that chain pair.
+        """
+        rows: list[dict] = []
+        open_rows: dict[tuple[HashedDeviceId, ...], dict] = {}
+        for rec in self._log:
+            op = rec[0]
+            if op == "transfer":
+                _, _, part_type, source, dest, ids, amounts, currency = rec
+                row = {
+                    "seq": len(rows) + 1,
+                    "type": part_type,
+                    "source": source,
+                    "dest": dest,
+                    "ids": list(ids),
+                    "amounts": list(amounts),
+                    "currency": currency,
+                    "status": "pending",
+                    "via_meta": None,
+                }
+                rows.append(row)
+                open_rows[ids] = row
+            elif op == "confirm":
+                row = open_rows.pop(rec[3])
+                row["status"] = "confirmed"
+                src_chain = self._entities[row["source"]].chain
+                dst_chain = self._entities[row["dest"]].chain
+                if src_chain != dst_chain:
+                    row["via_meta"] = self._meta[src_chain, dst_chain]
+            elif op == "reject":
+                open_rows.pop(rec[3])["status"] = "rejected"
+        return rows
+
+    def _report_row(self, report_id: str, rec: tuple) -> dict:
+        """A report and, once adjudicated, the trusted authority's outcome."""
+        _, reporter, ids, result = rec
+        adjudication = self._adjudications.get(report_id)
+        return {
+            "id": report_id,
+            "reporter": reporter,
+            "ids": list(ids),
+            "result": result,
+            "ta_outcome": list(adjudication[3]) if adjudication else None,
+            "defect_origins": [list(p) for p in adjudication[4]] if adjudication else [],
+        }
 
     def log_records(self) -> Sequence[tuple]:
         return self._log

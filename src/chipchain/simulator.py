@@ -29,7 +29,16 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .domain import ChainId, Entity, EntityId, Money, Role, chain_id_error, hash_device_id
+from .domain import (
+    STANDARD_CURRENCY,
+    ChainId,
+    Entity,
+    EntityId,
+    Role,
+    chain_id_error,
+    hash_device_id,
+    is_amount,
+)
 from .errors import ChipchainError, InvalidConfig
 from .ledger import Ledger, PartKind
 from .reputation import ObserverView, PenaltyTrace, ReputationEngine
@@ -60,7 +69,7 @@ class SimConfig:
     )
     n_transactions: int = 10_000
     markup_pct: float = 10.0
-    base_unit_cost: Money = Money(100.0)
+    base_unit_cost: float = 100.0  # per chiplet, in STANDARD_CURRENCY
     chiplets_per_ic: int = 2
     hop_range: tuple[int, int] = (1, 3)
     cross_chain_prob: float = 0.15
@@ -83,6 +92,10 @@ class SimConfig:
             raise InvalidConfig(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
         if self.markup_pct < 0:
             raise InvalidConfig("markup_pct must be >= 0")
+        if not is_amount(self.base_unit_cost):
+            raise InvalidConfig(
+                f"base_unit_cost must be a finite number >= 0, got {self.base_unit_cost!r}"
+            )
         lo, hi = self.hop_range
         if not isinstance(lo, int) or not isinstance(hi, int) or lo < 1 or hi < lo:
             raise InvalidConfig(f"hop_range must be integers 1 <= lo <= hi, got {self.hop_range}")
@@ -290,8 +303,8 @@ def generate_stream(
 
     pools = _PartnerPools(topology, chain_names)
     cms = topology.by_role[Role.CHIPLET_MANUFACTURER]
-    base_amount = cfg.base_unit_cost.amount
-    currency = cfg.base_unit_cost.currency
+    base_amount = cfg.base_unit_cost
+    currency = STANDARD_CURRENCY
     markup = 1.0 + cfg.markup_pct / 100.0
     lo, hi = cfg.hop_range
     chain_of = topology.chain_of

@@ -218,8 +218,10 @@ class TestMalformedConfigs:
              "chain id 'X^Y' may not contain '_' or '^'"),
             (small_config_with("sim", {"chains": [[7, True]]}),
              "chain id must be a non-empty string"),
-            (small_config_with("sim", {"base_unit_cost": {"amount": True}}),
-             "must be real number, not bool"),
+            (small_config_with("sim", {"base_unit_cost": True}),
+             "base_unit_cost must be a finite number >= 0, got True"),
+            (small_config_with("sim", {"base_unit_cost": {"amount": 1, "currency": "EUR"}}),
+             "base_unit_cost must be a finite number >= 0, got {'amount': 1, 'currency': 'EUR'}"),
         ],
         ids=[
             "unknown_reputation_key", "reputation_exchange", "unknown_behaviors_key",
@@ -227,7 +229,7 @@ class TestMalformedConfigs:
             "string_n_transactions", "negative_seed", "string_uniform_p", "scalar_hop_range",
             "scalar_sleeper", "string_switch_at", "section_not_object", "top_level_array",
             "bad_json", "separator_chain_id", "meta_prefix_chain_id", "numeric_chain_id",
-            "bool_base_unit_cost",
+            "bool_base_unit_cost", "object_base_unit_cost",
         ],
     )
     def test_diagnosed_with_path(self, tmp_path, capsys, command, text, message):
@@ -366,9 +368,10 @@ GOLDEN_DIGESTS = {
     "e2e/end_to_end_seed5.csv": "f332b0177bbbd1b7208727ebe915ebe51f74a275e8ee7b50af2e78cae9f3934c",
     "e2e/ledger.ndjson": "b3806c4d021f1c45914ab71bbd379a19635d7c71bf7342c4afac03f4611362c1",
     "e2e/scores.csv": "86cf7398ea3e8b697d2a4a7381a77711a62e32d2c7b09c7a94f03cb5e3925afa",
-    # Computed when run.json was still written field by field, not from the
-    # config dataclasses.
-    "sim/run.json": "e6d5af8eb7d3d0028d83ebac9fad6510e6a0dbf987da05458a1fca88b5de0cbd",
+    # Re-recorded when base_unit_cost became a plain amount: the only change
+    # is its line, which now reads `"base_unit_cost": 100.0` where it held an
+    # object with an amount and a currency.
+    "sim/run.json": "35e43f78a569a0353b01af3164f7b5415d12e5eb18e0da69be1a321e2b66ac9b",
 }
 
 

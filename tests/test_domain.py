@@ -4,8 +4,10 @@ import pytest
 
 from chipchain.domain import (
     STANDARD_TABLE,
+    Entity,
     ExchangeTable,
     Money,
+    Role,
     hash_device_id,
     is_hashed_id,
 )
@@ -13,6 +15,24 @@ from chipchain.errors import InvalidArgument, UnknownCurrency
 
 # Independently verifiable digest of "abc" (any standalone SHA-256 tool agrees).
 SHA256_ABC = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+
+
+class TestEntity:
+    @pytest.mark.parametrize(
+        "eid, role, chain, message",
+        [
+            (5, Role.CHIPLET_MANUFACTURER, "TB", "entity id must be a non-empty string, got 5"),
+            (b"x", Role.CHIPLET_MANUFACTURER, "TB", "entity id must be a non-empty string"),
+            ("", Role.CHIPLET_MANUFACTURER, "TB", "entity id must be a non-empty string"),
+            ("a", "CM", "TB", "entity role must be a Role, got 'CM'"),
+            ("a", Role.CHIPLET_MANUFACTURER, 7, "entity chain must be a non-empty string, got 7"),
+            ("a", Role.CHIPLET_MANUFACTURER, "", "entity chain must be a non-empty string"),
+        ],
+        ids=["int_id", "bytes_id", "empty_id", "str_role", "int_chain", "empty_chain"],
+    )
+    def test_wrong_types_are_refused(self, eid, role, chain, message):
+        with pytest.raises(InvalidArgument, match=message):
+            Entity(eid, role, chain)
 
 
 class TestHashDeviceId:

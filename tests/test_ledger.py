@@ -20,7 +20,6 @@ from chipchain.harness import oracle_max_deviation
 from chipchain.ledger import (
     Ledger,
     PartStatus,
-    TxnStatus,
     _encode_record,
     _LINE,
     load_log_records,
@@ -65,7 +64,18 @@ def owned(ledger, owner, part_type):
 def ship(ledger, src, dst, type_name, ids, amount, kind="chiplet"):
     transfer = ledger.transfer_chiplets if kind == "chiplet" else ledger.transfer_ics
     transfer(src, type_name, len(ids), ids, price(amount, len(ids)), dst)
-    return ledger.confirm_transfer(dst, type_name, len(ids), ids)
+    ledger.confirm_transfer(dst, type_name, len(ids), ids)
+
+
+def transaction_rows(ledger) -> list[dict]:
+    """The ``transactions`` section of the ledger's state, one row per transfer."""
+    return json.loads(ledger.state_json())["transactions"]
+
+
+def report_row(ledger, report_id: str) -> dict:
+    """The ``reports`` row of ``report_id`` in the ledger's state."""
+    (row,) = [r for r in json.loads(ledger.state_json())["reports"] if r["id"] == report_id]
+    return row
 
 
 class TestTypeRegistration:
@@ -149,8 +159,8 @@ class TestTwoPhaseTransfer:
 
     def test_pending_does_not_move_ownership(self):
         subset = sorted(self.ids)[:3]
-        txn = self.ledger.transfer_chiplets("cm1", "T", 3, subset, price(10, 3), "cd1")
-        assert txn.status is TxnStatus.PENDING
+        assert self.ledger.transfer_chiplets("cm1", "T", 3, subset, price(10, 3), "cd1") is None
+        assert transaction_rows(self.ledger)[-1]["status"] == "pending"
         for h in subset:
             assert self.ledger.part(h).owner == "cm1"
             assert self.ledger.part(h).status is PartStatus.IN_TRANSIT
@@ -158,8 +168,8 @@ class TestTwoPhaseTransfer:
     def test_confirmation_moves_exactly_the_batch(self):
         subset = sorted(self.ids)[:3]
         self.ledger.transfer_chiplets("cm1", "T", 3, subset, price(10, 3), "cd1")
-        txn = self.ledger.confirm_transfer("cd1", "T", 3, subset)
-        assert txn.status is TxnStatus.CONFIRMED
+        assert self.ledger.confirm_transfer("cd1", "T", 3, subset) is None
+        assert transaction_rows(self.ledger)[-1]["status"] == "confirmed"
         assert owned(self.ledger, "cd1", "T") == 3
         assert owned(self.ledger, "cm1", "T") == 2
 
@@ -199,8 +209,8 @@ class TestTwoPhaseTransfer:
 
     def test_reject_returns_parts(self):
         self.ledger.transfer_chiplets("cm1", "T", 2, self.ids[:2], price(10, 2), "cd1")
-        txn = self.ledger.reject_transfer("cd1", "T", self.ids[:2])
-        assert txn.status is TxnStatus.REJECTED
+        assert self.ledger.reject_transfer("cd1", "T", self.ids[:2]) is None
+        assert transaction_rows(self.ledger)[-1]["status"] == "rejected"
         for h in self.ids[:2]:
             assert self.ledger.part(h).owner == "cm1"
             assert self.ledger.part(h).status is PartStatus.OWNED
@@ -227,11 +237,12 @@ class TestTransferICs:
         self.ledger.register_devices("icm1", "IC-T", self.ic_ids)
 
     def test_happy_path(self):
-        txn = self.ledger.transfer_ics(
+        assert self.ledger.transfer_ics(
             "icm1", "IC-T", 10, self.ic_ids, price(500, 10), "icd1"
-        )
-        assert txn.status is TxnStatus.PENDING
-        assert txn.count == 10
+        ) is None
+        (row,) = transaction_rows(self.ledger)
+        assert row["status"] == "pending"
+        assert len(row["ids"]) == 10
 
     def test_kind_gate(self):
         self.ledger.register_devices("cm1", "CH-T", [hid("c1")])
@@ -358,8 +369,8 @@ class TestCrossChainSplit:
         h = hid("x")
         ledger.register_devices("cm1", "CH", [h])
         ledger.transfer_chiplets("cm1", "CH", 1, [h], price(42), "cd3")
-        txn = ledger.confirm_transfer("cd3", "CH", 1, [h])
-        assert txn.via_meta == "X^UB_TB"
+        ledger.confirm_transfer("cd3", "CH", 1, [h])
+        assert transaction_rows(ledger)[-1]["via_meta"] == "X^UB_TB"
         assert ledger.provenance(h) == [("cm1", "X^UB_TB", 42.0), ("X^UB_TB", "cd3", 42.0)]
 
     def test_meta_entity_reused(self):
@@ -375,8 +386,8 @@ class TestCrossChainSplit:
         ledger.register_chiplet_type("cm1", "CH")
         h = hid("y")
         ledger.register_devices("cm1", "CH", [h])
-        txn = ship(ledger, "cm1", "cd1", "CH", [h], 1.0)
-        assert txn.via_meta is None
+        ship(ledger, "cm1", "cd1", "CH", [h], 1.0)
+        assert transaction_rows(ledger)[-1]["via_meta"] is None
         assert ledger.provenance(h) == [("cm1", "cd1", 1.0)]
         assert not any(e.role is Role.META_ENTITY for e in ledger.entities.values())
 
@@ -444,7 +455,7 @@ class TestReportAndAdjudication:
         result = self.ledger.adjudicate("ta-tb", rid, [])
         assert result.defective == ()
         assert result.traces == []
-        assert self.ledger.report_record(rid).ta_outcome == ()
+        assert report_row(self.ledger, rid)["ta_outcome"] == []
 
     def test_adjudication_penalizes_each_defective_part(self):
         rid = self.ledger.report("icm1", self.chiplets, 1)
@@ -593,15 +604,16 @@ class TestProvenance:
 
     def test_every_confirmed_edge_lands_on_its_parts(self):
         ledger, _, chiplet, ic = fig_path_world()
-        confirmed = [t for t in ledger.transactions if t.status is TxnStatus.CONFIRMED]
+        confirmed = [t for t in transaction_rows(ledger) if t["status"] == "confirmed"]
         for txn in confirmed:
-            for h in txn.ids:
+            source, dest, via_meta = txn["source"], txn["dest"], txn["via_meta"]
+            for h in txn["ids"]:
                 pairs = [(s, b) for s, b, _, _ in ledger.part(h).path]
-                if txn.via_meta is None:
-                    assert (txn.source, txn.dest) in pairs
+                if via_meta is None:
+                    assert (source, dest) in pairs
                 else:
-                    assert (txn.source, txn.via_meta) in pairs
-                    assert (txn.via_meta, txn.dest) in pairs
+                    assert (source, via_meta) in pairs
+                    assert (via_meta, dest) in pairs
 
 
 class TestReplayDeterminism:
@@ -827,7 +839,7 @@ class TestMalformedTransferRecords:
         rec = sale(ids=("a" * 64, "b" * 64), amounts=(5, 0.1 + 0.2))
         ledger.apply_record(rec)
         assert ledger.log_records()[-1] == rec
-        assert ledger.transactions[-1].amounts == (5, 0.1 + 0.2)
+        assert transaction_rows(ledger)[-1]["amounts"] == [5, 0.1 + 0.2]
 
 
 class TestMetaIdentity:
@@ -995,11 +1007,67 @@ class TestAttach:
 class TestEq6View:
     def test_transaction_stream_shape(self):
         ledger, _, chiplet, ic = fig_path_world()
-        stream = ledger.transactions
+        stream = transaction_rows(ledger)
         # 6 transfers, one of which crossed chains and so has two path edges.
-        assert [t.seq for t in stream] == [1, 2, 3, 4, 5, 6]
-        assert [t.via_meta for t in stream].count("X^UB_TB") == 1
-        assert sum(2 if t.via_meta else 1 for t in stream) == 7
+        assert [t["seq"] for t in stream] == [1, 2, 3, 4, 5, 6]
+        assert [t["via_meta"] for t in stream].count("X^UB_TB") == 1
+        assert sum(2 if t["via_meta"] else 1 for t in stream) == 7
         for txn in stream:
-            assert txn.status is TxnStatus.CONFIRMED
-            assert len(txn.ids) == txn.count == len(txn.amounts)
+            assert txn["status"] == "confirmed"
+            assert len(txn["ids"]) == len(txn["amounts"])
+
+
+class TestDerivedRows:
+    """The transaction and report rows of ``state_json`` follow from the log records."""
+
+    def setup_method(self):
+        # cm1 sits on UB and cd3 on TB, so every sale from cm1 to cd3 crosses chains.
+        self.ledger = small_world()
+        self.ledger.register_chiplet_type("cm1", "CH")
+        self.a, self.b = hid("row-a"), hid("row-b")
+        self.ledger.register_devices("cm1", "CH", [self.a, self.b])
+
+    def test_each_operation_is_stored_once(self):
+        self.ledger.transfer_chiplets("cm1", "CH", 2, [self.a, self.b], price(5, 2), "cd3")
+        transfer = self.ledger.log_records()[-1]
+        assert transfer[0] == "transfer"
+        assert self.ledger._pending[transfer[5]] is transfer
+
+    def test_pending_and_rejected_crossings_have_no_meta(self):
+        self.ledger.transfer_chiplets("cm1", "CH", 1, [self.a], price(5), "cd3")
+        self.ledger.transfer_chiplets("cm1", "CH", 1, [self.b], price(6), "cd3")
+        self.ledger.reject_transfer("cd3", "CH", [self.b])
+        assert [(r["status"], r["via_meta"]) for r in transaction_rows(self.ledger)] == [
+            ("pending", None), ("rejected", None)
+        ]
+        assert "X^UB_TB" not in self.ledger.entities
+        # Once the meta-entity exists, a pending crossing still shows none.
+        self.ledger.confirm_transfer("cd3", "CH", 1, [self.a])
+        self.ledger.transfer_chiplets("cm1", "CH", 1, [self.b], price(6), "cd3")
+        assert [(r["status"], r["via_meta"]) for r in transaction_rows(self.ledger)] == [
+            ("confirmed", "X^UB_TB"), ("rejected", None), ("pending", None)
+        ]
+
+    def test_retried_transfer_is_a_second_row(self):
+        self.ledger.transfer_chiplets("cm1", "CH", 1, [self.a], price(5), "cd3")
+        self.ledger.reject_transfer("cd3", "CH", [self.a])
+        self.ledger.transfer_chiplets("cm1", "CH", 1, [self.a], price(7), "cd3")
+        self.ledger.confirm_transfer("cd3", "CH", 1, [self.a])
+        rows = transaction_rows(self.ledger)
+        assert [(r["seq"], r["status"], r["amounts"], r["via_meta"]) for r in rows] == [
+            (1, "rejected", [5], None), (2, "confirmed", [7], "X^UB_TB")
+        ]
+
+    def test_report_row_before_and_after_adjudication(self):
+        ledger, _, chiplet, ic = fig_path_world()
+        rid = ledger.report("si1", [ic], 1)
+        assert ledger._reports[rid] is ledger.log_records()[-1]
+        filed = {
+            "id": rid, "reporter": "si1", "ids": [ic], "result": 1,
+            "ta_outcome": None, "defect_origins": [],
+        }
+        assert report_row(ledger, rid) == filed
+        ledger.adjudicate("ta-tb", rid, [ic], defect_origins={ic: chiplet})
+        assert report_row(ledger, rid) == {
+            **filed, "ta_outcome": [ic], "defect_origins": [[ic, chiplet]]
+        }

@@ -64,6 +64,17 @@ def build_soup_world(params: ReputationParams | None = None):
     return ledger, engine, entities, types
 
 
+def pending_transfers(ledger) -> list[tuple]:
+    """The transfer records that no confirm or reject record has closed, in log order."""
+    pending = {}
+    for rec in ledger.log_records():
+        if rec[0] == "transfer":
+            pending[rec[5]] = rec
+        elif rec[0] in ("confirm", "reject"):
+            del pending[rec[3]]
+    return list(pending.values())
+
+
 def run_soup(ledger, entities, types, rng, steps):
     """Attempt random operations; invalid ones must raise and change nothing."""
     serial = 0
@@ -128,14 +139,14 @@ def run_soup(ledger, entities, types, rng, steps):
                 )
                 transfer(caller, name, len(batch), batch, prices, dest)
             elif action == 2:  # confirm or reject a pending transfer
-                pendings = [t for t in ledger.transactions if t.status.value == "pending"]
+                pendings = pending_transfers(ledger)
                 if not pendings:
                     continue
-                txn = rng.choice(pendings)
+                _, _, part_type, _, dest, ids, _, _ = rng.choice(pendings)
                 if rng.random() < 0.8:
-                    ledger.confirm_transfer(txn.dest, txn.part_type, txn.count, txn.ids)
+                    ledger.confirm_transfer(dest, part_type, len(ids), ids)
                 else:
-                    ledger.reject_transfer(txn.dest, txn.part_type, txn.ids)
+                    ledger.reject_transfer(dest, part_type, ids)
             elif action == 3:  # verify known or unknown ids (read-only)
                 target = (
                     rng.choice(list(ledger.parts))
@@ -172,14 +183,13 @@ def run_soup(ledger, entities, types, rng, steps):
                 result = int(rng.random() < 0.4)
                 rid = ledger.report(reporter, batch, result)
                 if result == 1:
-                    open_reports.append(rid)
+                    open_reports.append((rid, ledger.log_records()[-1]))
             elif action == 6:  # adjudicate an open failed report
                 if not open_reports:
                     continue
-                rid = open_reports.pop(rng.randrange(len(open_reports)))
-                report = ledger.report_record(rid)
-                chain = ledger.entity(report.reporter).chain
-                defective = [h for h in report.ids if rng.random() < 0.6]
+                rid, (_, reporter, ids, _) = open_reports.pop(rng.randrange(len(open_reports)))
+                chain = ledger.entity(reporter).chain
+                defective = [h for h in ids if rng.random() < 0.6]
                 origins = {}
                 for h in defective:
                     part = ledger.part(h)
@@ -244,6 +254,14 @@ def test_soup_single_owner_conservation(seed):
 
 def test_failed_calls_leave_no_trace():
     ledger, _, entities, types = build_soup_world()
+    # A pending sale cm-0 -> cd-3 and an adjudicated report on a part icm-9 bought.
+    sold, pending = hash_device_id("sold"), hash_device_id("pending")
+    ledger.register_devices("cm-0", "cm-0-t", [sold, pending])
+    ledger.transfer_chiplets("cm-0", "cm-0-t", 1, [sold], [Money(1)], "icm-9")
+    ledger.confirm_transfer("icm-9", "cm-0-t", 1, [sold])
+    rid = ledger.report("icm-9", [sold], 1)
+    ledger.adjudicate("ta@TB", rid, [])
+    ledger.transfer_chiplets("cm-0", "cm-0-t", 1, [pending], [Money(1)], "cd-3")
     state = ledger.state_json()
     log_len = ledger.log_length()
     bad = hash_device_id("never-registered")
@@ -253,6 +271,8 @@ def test_failed_calls_leave_no_trace():
         lambda: ledger.confirm_transfer("cd-3", "cm-0-t", 1, [bad]),
         lambda: ledger.report("icm-7", [bad], 0),
         lambda: ledger.adjudicate("ta@TB", "R999999", []),
+        lambda: ledger.reject_transfer("cd-6", "cm-0-t", [pending]),
+        lambda: ledger.adjudicate("ta@TB", rid, [sold]),
     ):
         with pytest.raises(ChipchainError):
             attempt()
