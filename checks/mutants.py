@@ -51,6 +51,8 @@ LEDGER = "src/chipchain/ledger.py"
 ENGINE = "src/chipchain/reputation.py"
 ORACLE = "src/chipchain/harness.py"
 DOMAIN = "src/chipchain/domain.py"
+HARNESS = "src/chipchain/harness.py"
+SIMULATOR = "src/chipchain/simulator.py"
 
 
 class Mutant(NamedTuple):
@@ -139,6 +141,29 @@ MUTANTS = [
         "an entity id is a non-empty string",
         ((DOMAIN, "        if type(self.id) is not str or not self.id:\n",
           "        if not self.id:\n"),),
+    ),
+    Mutant(
+        "sleeper_switch_off_by_one",
+        "a sleeper sells at the benign level before switch_at and the malicious one from it",
+        ((HARNESS, "np.concatenate((benign[:switch_at], malicious[switch_at:]))",
+          "np.concatenate((benign[:switch_at + 1], malicious[switch_at + 1:]))"),),
+    ),
+    Mutant(
+        "fold_defect_after_sample",
+        "a defect at a sampled transaction divides r before that sample is taken",
+        ((HARNESS, "while di < n_defects and defects[di] <= t:",
+          "while di < n_defects and defects[di] < t:"),),
+    ),
+    Mutant(
+        "stride_unchecked",
+        "a curve's sampling stride is an integer >= 1",
+        ((HARNESS, '("stride", stride, 1), ', ""),),
+    ),
+    Mutant(
+        "markup_overflow_unchecked",
+        "a config's markup leaves the largest price it can write finite",
+        ((SIMULATOR, "if not math.isfinite(self.base_unit_cost * self.chiplets_per_ic * top):",
+          "if False:"),),
     ),
 ]
 

@@ -4,11 +4,12 @@ Three experiment families are covered:
 
   basic       one manufacturer sells one unit-price part per transaction with
               immediate verification, swept over decrease rates and defect
-              probabilities. The recurrence is folded in closed form between
-              defect events (reputation grows linearly while nothing fails),
-              which keeps million-transaction curves in the millisecond range;
-              tests cross-check the fold against the same scenario driven
-              through the full ledger.
+              probabilities. Every cell of a seed thresholds the same uniform
+              stream, drawn once. The recurrence is folded in closed form
+              between defect events (reputation grows linearly while nothing
+              fails), which keeps million-transaction curves in the
+              millisecond range; tests cross-check the fold against the same
+              scenario driven through the full ledger.
   end_to_end  full pipeline: build a population, generate a stream, replay it
               against a ledger with a reputation engine attached, and
               aggregate reputation by consortium and role.
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -126,24 +128,25 @@ def fold_single_seller(
     """
     n = len(mask)
     divisor = 1.0 + decrease_rate
-    defects = np.flatnonzero(mask) + 1  # 1-based transaction positions
+    defects = (np.flatnonzero(mask) + 1).tolist()  # 1-based transaction positions
     samples = _sample_positions(n, stride)
-    out = np.empty(len(samples), dtype=np.float64)
+    out = []
     r = 0.0
     last = 0
     di = 0
     n_defects = len(defects)
-    for si, t in enumerate(samples):
+    for t in samples.tolist():
         while di < n_defects and defects[di] <= t:
-            d = int(defects[di])
+            d = defects[di]
             r += d - 1 - last
             r /= divisor
             last = d
             di += 1
         r += t - last
-        last = int(t)
-        out[si] = r
-    return samples, out, out / samples
+        last = t
+        out.append(r)
+    r_samples = np.array(out, dtype=np.float64)
+    return samples, r_samples, r_samples / samples
 
 
 def naive_single_seller(mask: np.ndarray, decrease_rate: float) -> np.ndarray:
@@ -193,18 +196,19 @@ def ledger_single_seller(
     return samples, out_r, out_norm, ledger
 
 
-def basic_curve(
-    decrease_rate: float,
-    defect_prob: float,
-    n_txn: int,
-    seed: int,
-    stride: int = DEFAULT_STRIDE,
-) -> Series:
-    """One basic-simulation trajectory for a (decrease rate, defect prob) cell."""
-    idx, r, norm = fold_single_seller(defect_mask(n_txn, defect_prob, seed), decrease_rate, stride)
-    label = f"m={decrease_rate:g} p={defect_prob:g}"
-    meta = {"m": decrease_rate, "defect_prob": defect_prob, "seed": seed, "n": n_txn}
-    return Series(label, idx, r, norm, meta)
+def _check_curve_inputs(
+    n_txn: int, seed: int, stride: int, rates: Sequence[float], probs: Sequence[float]
+) -> None:
+    """Raise ``InvalidConfig`` unless every single-seller curve input is in range."""
+    for name, value, low in (("n_txn", n_txn, 1), ("stride", stride, 1), ("seed", seed, 0)):
+        if not isinstance(value, int) or value < low:
+            raise InvalidConfig(f"{name} must be an integer >= {low}, got {value!r}")
+    for m in rates:
+        if not math.isfinite(m) or m <= 0:
+            raise InvalidConfig(f"decrease rate must be finite and > 0, got {m!r}")
+    for p in probs:
+        if not 0.0 <= p <= 1.0:  # also false for NaN
+            raise InvalidConfig(f"defect probability must be in [0, 1], got {p!r}")
 
 
 def run_basic(
@@ -215,15 +219,17 @@ def run_basic(
     out_dir: str | Path | None = None,
     stride: int = DEFAULT_STRIDE,
 ) -> dict[tuple[float, float], Series]:
-    """Sweep the (decrease rate, defect prob) grid; one CSV per cell if out_dir given."""
+    """Sweep the (decrease rate, defect prob) grid over one uniform draw; CSVs if out_dir."""
     if not m_values or not defect_probs:
         raise InvalidConfig("basic sweep needs a non-empty grid")
-    if n_txn < 1:
-        raise InvalidConfig("n_txn must be >= 1")
+    _check_curve_inputs(n_txn, seed, stride, m_values, defect_probs)
+    u = uniform_draws(n_txn, seed)
     curves = {}
     for m in m_values:
         for p in defect_probs:
-            series = basic_curve(m, p, n_txn, seed, stride)
+            idx, r, norm = fold_single_seller(u < p, m, stride)
+            meta = {"m": m, "defect_prob": p, "seed": seed, "n": n_txn}
+            series = Series(f"m={m:g} p={p:g}", idx, r, norm, meta)
             curves[(m, p)] = series
             if out_dir is not None:
                 path = Path(out_dir) / f"basic_m{m:g}_p{p:g}_seed{seed}.csv"
@@ -247,16 +253,18 @@ def run_attack(
     malicious level; sharing one uniform stream per seed makes its pre-switch
     trajectory identical to the benign one.
     """
-    if not 0 <= switch_at < n_txn:
-        raise InvalidConfig("switch_at must lie before the end of the stream")
+    _check_curve_inputs(n_txn, seed, stride, [decrease_rate], [benign_p, *malicious_ps])
+    if not isinstance(switch_at, int) or not 0 <= switch_at < n_txn:
+        raise InvalidConfig(f"switch_at must be an integer in [0, {n_txn}), got {switch_at!r}")
     if not malicious_ps:
         raise InvalidConfig("at least one malicious level is required")
     u = uniform_draws(n_txn, seed)
-    masks: dict[str, np.ndarray] = {"benign": u < benign_p}
+    benign = u < benign_p
+    masks: dict[str, np.ndarray] = {"benign": benign}
     for p in malicious_ps:
-        masks[f"malicious-{p:g}"] = u < p
-        thresholds = np.where(np.arange(n_txn) < switch_at, benign_p, p)
-        masks[f"sleeper-{p:g}"] = u < thresholds
+        malicious = u < p
+        masks[f"malicious-{p:g}"] = malicious
+        masks[f"sleeper-{p:g}"] = np.concatenate((benign[:switch_at], malicious[switch_at:]))
     curves = {}
     for label, mask in masks.items():
         idx, r, norm = fold_single_seller(mask, decrease_rate, stride)

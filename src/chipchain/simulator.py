@@ -24,6 +24,7 @@ so a saved log replays without regeneration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -90,8 +91,8 @@ class SimConfig:
                 raise InvalidConfig(f"{name} must be an integer >= 1, got {value!r}")
         if not isinstance(self.rng_seed, int) or self.rng_seed < 0:
             raise InvalidConfig(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
-        if self.markup_pct < 0:
-            raise InvalidConfig("markup_pct must be >= 0")
+        if not math.isfinite(self.markup_pct) or self.markup_pct < 0:
+            raise InvalidConfig(f"markup_pct must be a finite number >= 0, got {self.markup_pct!r}")
         if not is_amount(self.base_unit_cost):
             raise InvalidConfig(
                 f"base_unit_cost must be a finite number >= 0, got {self.base_unit_cost!r}"
@@ -99,6 +100,17 @@ class SimConfig:
         lo, hi = self.hop_range
         if not isinstance(lo, int) or not isinstance(hi, int) or lo < 1 or hi < lo:
             raise InvalidConfig(f"hop_range must be integers 1 <= lo <= hi, got {self.hop_range}")
+        # The largest price generate_stream can write: chiplets bought after hi
+        # markups each, built into an IC marked up once, then hi more markups.
+        markups = 2 * hi + 1
+        try:
+            top = (1.0 + self.markup_pct / 100.0) ** markups
+        except OverflowError:
+            top = math.inf
+        if not math.isfinite(self.base_unit_cost * self.chiplets_per_ic * top):
+            raise InvalidConfig(
+                f"markup_pct {self.markup_pct!r} overflows prices within {markups} markups"
+            )
         if not 0.0 <= self.cross_chain_prob <= 1.0:
             raise InvalidConfig("cross_chain_prob must be in [0, 1]")
         if not self.chains:

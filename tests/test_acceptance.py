@@ -17,10 +17,10 @@ from chipchain.domain import Entity, ExchangeTable, Money, Role, hash_device_id
 from chipchain.errors import ChipchainError, PermissionDenied
 from chipchain.harness import (
     ORACLE_TOLERANCE,
-    basic_curve,
     ledger_single_seller,
     oracle_max_deviation,
     run_attack,
+    run_basic,
 )
 from chipchain.ledger import Ledger
 from chipchain.reputation import (
@@ -126,15 +126,14 @@ def basic_grid():
     finals = {}
     early_min = {}
     crossing = {}
-    for m in (0.001, 0.01):
-        for p in (1e-5, 1e-4, 1e-3, 1e-2):
-            for seed in SEEDS:
-                series = basic_curve(m, p, N_TXN, seed, stride=1000)
-                finals[(m, p, seed)] = series.final_normalized()
-                head = series.normalized[series.txn_index <= 10_000]
-                early_min[(m, p, seed)] = float(head.min())
-                hits = np.flatnonzero(series.normalized <= 0.05)
-                crossing[(m, p, seed)] = int(series.txn_index[hits[0]]) if len(hits) else None
+    for seed in SEEDS:
+        curves = run_basic((0.001, 0.01), (1e-5, 1e-4, 1e-3, 1e-2), N_TXN, seed, stride=1000)
+        for (m, p), series in curves.items():
+            finals[(m, p, seed)] = series.final_normalized()
+            head = series.normalized[series.txn_index <= 10_000]
+            early_min[(m, p, seed)] = float(head.min())
+            hits = np.flatnonzero(series.normalized <= 0.05)
+            crossing[(m, p, seed)] = int(series.txn_index[hits[0]]) if len(hits) else None
     return finals, early_min, crossing, time.time() - t0
 
 

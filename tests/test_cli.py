@@ -81,6 +81,58 @@ class TestAttackCommand:
         assert "error:" in capsys.readouterr().err
 
 
+#: Valid arguments of each curve command; a case's flags are appended to them.
+CURVE_ARGS = {
+    "basic": ["basic", "--n", "10", "--seed", "0"],
+    "attack": ["attack", "--malicious-p", "0.002", "--switch-at", "5", "--n", "10", "--seed", "0"],
+}
+
+
+class TestCurveInputs:
+    """A curve input out of range ends in exit 1 and one line, never a traceback or a NaN."""
+
+    @pytest.mark.parametrize("command", sorted(CURVE_ARGS))
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--stride", "0"], "stride must be an integer >= 1, got 0"),
+            (["--seed", "-1"], "seed must be an integer >= 0, got -1"),
+            (["--n", "0"], "n_txn must be an integer >= 1, got 0"),
+            (["--m", "nan"], "decrease rate must be finite and > 0, got nan"),
+            (["--m", "inf"], "decrease rate must be finite and > 0, got inf"),
+            (["--m", "0"], "decrease rate must be finite and > 0, got 0.0"),
+        ],
+        ids=["zero_stride", "negative_seed", "zero_n", "nan_m", "inf_m", "zero_m"],
+    )
+    def test_shared_inputs(self, capsys, command, flags, message):
+        assert run(CURVE_ARGS[command] + flags) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("basic", ["--defect-prob", "nan"], "defect probability must be in [0, 1], got nan"),
+            ("basic", ["--defect-prob", "2"], "defect probability must be in [0, 1], got 2.0"),
+            ("basic", ["--defect-prob", "-0.1"],
+             "defect probability must be in [0, 1], got -0.1"),
+            ("attack", ["--benign-p", "nan"], "defect probability must be in [0, 1], got nan"),
+            ("attack", ["--malicious-p", "2"], "defect probability must be in [0, 1], got 2.0"),
+            ("attack", ["--malicious-p=-inf"],
+             "defect probability must be in [0, 1], got -inf"),
+            ("attack", ["--switch-at", "10"], "switch_at must be an integer in [0, 10), got 10"),
+            ("attack", ["--switch-at", "-1"], "switch_at must be an integer in [0, 10), got -1"),
+        ],
+        ids=[
+            "basic_nan_p", "basic_p_above_1", "basic_negative_p", "attack_nan_benign_p",
+            "attack_malicious_p_above_1", "attack_negative_malicious_p", "attack_switch_at_n",
+            "attack_negative_switch",
+        ],
+    )
+    def test_probabilities_and_switch(self, capsys, command, flags, message):
+        assert run(CURVE_ARGS[command] + flags) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestSimulatePipeline:
     def test_simulate_writes_artifacts(self, tmp_path, config_file):
         out = tmp_path / "run"
@@ -222,6 +274,12 @@ class TestMalformedConfigs:
              "base_unit_cost must be a finite number >= 0, got True"),
             (small_config_with("sim", {"base_unit_cost": {"amount": 1, "currency": "EUR"}}),
              "base_unit_cost must be a finite number >= 0, got {'amount': 1, 'currency': 'EUR'}"),
+            (small_config_with("sim", {"markup_pct": float("nan")}),
+             "markup_pct must be a finite number >= 0, got nan"),
+            (small_config_with("sim", {"markup_pct": float("inf")}),
+             "markup_pct must be a finite number >= 0, got inf"),
+            (small_config_with("sim", {"markup_pct": 1e60}),
+             "markup_pct 1e+60 overflows prices within 7 markups"),
         ],
         ids=[
             "unknown_reputation_key", "reputation_exchange", "unknown_behaviors_key",
@@ -229,7 +287,8 @@ class TestMalformedConfigs:
             "string_n_transactions", "negative_seed", "string_uniform_p", "scalar_hop_range",
             "scalar_sleeper", "string_switch_at", "section_not_object", "top_level_array",
             "bad_json", "separator_chain_id", "meta_prefix_chain_id", "numeric_chain_id",
-            "bool_base_unit_cost", "object_base_unit_cost",
+            "bool_base_unit_cost", "object_base_unit_cost", "nan_markup", "inf_markup",
+            "overflowing_markup",
         ],
     )
     def test_diagnosed_with_path(self, tmp_path, capsys, command, text, message):
@@ -372,7 +431,37 @@ GOLDEN_DIGESTS = {
     # is its line, which now reads `"base_unit_cost": 100.0` where it held an
     # object with an amount and a currency.
     "sim/run.json": "35e43f78a569a0353b01af3164f7b5415d12e5eb18e0da69be1a321e2b66ac9b",
+    # Recorded while run_basic still drew the uniform stream once per cell and
+    # the sleeper's mask came from a per-position threshold array.
+    "basic/basic_m0.001_p0.002_seed7.csv":
+        "5fc672bc9095a4a9a5960bd951359f8664c03ae88d7d7d56785bfe5e59cc0b75",
+    "basic/basic_m0.001_p0.05_seed7.csv":
+        "f38f8901e7acef2595a90ebc6a39b38a1ede1d5b2bda7c6344fda04ba1661391",
+    "basic/basic_m0.01_p0.002_seed7.csv":
+        "48d6d53306098d02dee005fec93bfddab555a89e966828e29e03516eda72f5a8",
+    "basic/basic_m0.01_p0.05_seed7.csv":
+        "4f117964df98f90bffda1dad494b8a1f0f4339773de458144308cbf697cbd2b9",
+    "attack/attack_benign_seed3.csv":
+        "84c078d11e675b12197a571cc9bd9e9970dbaeeb5d883eb807ca988a2712dee2",
+    "attack/attack_malicious-0.01_seed3.csv":
+        "1a4d335f8c1cbe2182f1a20a5df6f790b5299523e2febfd65c7c32639c442890",
+    "attack/attack_malicious-0.05_seed3.csv":
+        "515b446443f7498beae6b970be11e76da19cec1c764408767fb0b1df87132648",
+    "attack/attack_sleeper-0.01_seed3.csv":
+        "55abd55a75004f2ab185c83140f6ce0d7beecf58fcd965b63dd50939e372c652",
+    "attack/attack_sleeper-0.05_seed3.csv":
+        "8178959107f0497689025b1f1103f09b6ee14356c2e7c21c13275da8ba69d7ed",
 }
+
+#: Curve runs behind the basic/ and attack/ digests: a 2 x 2 grid, and a
+#: sleeper per malicious level, over a stream whose length the stride does
+#: not divide.
+GOLDEN_CURVE_RUNS = (
+    ["basic", "--m", "0.001", "--m", "0.01", "--defect-prob", "0.002", "--defect-prob", "0.05",
+     "--n", "5003", "--seed", "7", "--stride", "250"],
+    ["attack", "--benign-p", "0.002", "--malicious-p", "0.01", "--malicious-p", "0.05",
+     "--switch-at", "2000", "--n", "5003", "--seed", "3", "--stride", "250", "--m", "0.05"],
+)
 
 
 class TestAtomicWrites:
@@ -435,6 +524,8 @@ class TestGoldenOutputs:
         for command, out in (("simulate", "sim"), ("end-to-end", "e2e")):
             argv = [command, "--config", config, "--out", tmp_path / out, "--stride", "50"]
             assert run(argv) == 0
+        for argv in GOLDEN_CURVE_RUNS:
+            assert run([*argv, "--out", tmp_path / argv[0]]) == 0
         penalties = (tmp_path / "sim/penalties.ndjson").read_text().splitlines()
         assert len(penalties) == 16
         assert sum("X^" in line for line in penalties) > 0

@@ -4,7 +4,7 @@ import pytest
 from chipchain.domain import STANDARD_TABLE
 from chipchain.errors import InvalidConfig
 from chipchain.harness import (
-    basic_curve,
+    ATTACK_DECREASE_RATE,
     defect_mask,
     export_csv,
     fold_single_seller,
@@ -15,6 +15,7 @@ from chipchain.harness import (
     run_attack,
     run_basic,
     run_end_to_end,
+    uniform_draws,
     write_series_csv,
     write_traces,
 )
@@ -53,10 +54,53 @@ class TestSingleSellerFold:
         idx, _, _ = fold_single_seller(mask, 0.01, stride=500)
         assert list(idx) == [500, 1000, 1050]
 
+    @staticmethod
+    def mask_with(n, defects):
+        """A length-``n`` mask with defects at the given 1-based positions."""
+        mask = np.zeros(n, dtype=bool)
+        mask[[d - 1 for d in defects]] = True
+        return mask
+
+    @pytest.mark.parametrize(
+        "n, defects, stride",
+        [
+            (100, [1], 10),
+            (100, [1, 2, 3], 1),
+            (100, [30, 55, 100], 10),
+            (100, [10, 11, 20, 21, 99, 100], 10),
+            (100, range(1, 101), 10),
+            (100, [], 10),
+            (100, [7, 40], 250),
+            (1, [1], 1),
+        ],
+        ids=[
+            "defect_at_first_txn", "leading_run", "defects_on_samples_and_at_n",
+            "defects_beside_samples", "all_defects", "no_defects", "stride_beyond_n",
+            "single_defective_txn",
+        ],
+    )
+    def test_edge_masks_match_naive_loop(self, n, defects, stride):
+        mask = self.mask_with(n, defects)
+        idx, r, norm = fold_single_seller(mask, 0.25, stride)
+        reference = naive_single_seller(mask, 0.25)
+        assert idx[-1] == n
+        assert np.allclose(r, reference[idx - 1], rtol=1e-12, atol=0.0)
+        assert np.allclose(norm, reference[idx - 1] / idx, rtol=1e-12, atol=0.0)
+
+    def test_all_defects_keep_r_at_zero_and_none_keep_it_at_n(self):
+        assert np.all(fold_single_seller(np.ones(50, dtype=bool), 0.1, 10)[1] == 0.0)
+        idx, r, norm = fold_single_seller(np.zeros(50, dtype=bool), 0.1, 10)
+        assert np.array_equal(r, idx.astype(np.float64))
+        assert np.all(norm == 1.0)
+
+    def test_stride_beyond_n_samples_only_the_end(self):
+        idx, _, _ = fold_single_seller(self.mask_with(30, [5]), 0.1, stride=1_000)
+        assert list(idx) == [30]
+
 
 class TestRunBasic:
     def test_zero_defects_keep_normalized_at_one(self):
-        series = basic_curve(0.01, 0.0, 5_000, seed=4, stride=500)
+        series = run_basic([0.01], [0.0], 5_000, seed=4, stride=500)[(0.01, 0.0)]
         assert np.all(series.normalized == 1.0)
         assert series.r[-1] == 5_000.0
 
@@ -82,6 +126,21 @@ class TestRunAttack:
         sleeper = curves["sleeper-0.002"]
         pre = benign.txn_index <= 5_000
         assert np.array_equal(benign.r[pre], sleeper.r[pre])
+
+    @pytest.mark.parametrize("switch_at", [0, 1, 59])
+    @pytest.mark.parametrize("benign_p, p", [(0.0, 1.0), (0.2, 0.7)])
+    def test_sleeper_matches_threshold_construction(self, switch_at, benign_p, p):
+        # The sleeper's mask is the benign level before switch_at and the
+        # malicious level from it on, as one per-position threshold gives.
+        n, seed = 60, 11
+        curves = run_attack(benign_p, [p], switch_at, n, seed, stride=1)
+        u = uniform_draws(n, seed)
+        mask = u < np.where(np.arange(n) < switch_at, benign_p, p)
+        idx, r, norm = fold_single_seller(mask, ATTACK_DECREASE_RATE, stride=1)
+        sleeper = curves[f"sleeper-{p:g}"]
+        assert np.array_equal(sleeper.txn_index, idx)
+        assert np.array_equal(sleeper.r, r)
+        assert np.array_equal(sleeper.normalized, norm)
 
     def test_degenerate_levels_identical(self):
         curves = run_attack(0.001, [0.001], 5_000, 10_000, seed=2)
@@ -184,13 +243,13 @@ class TestCsvExport:
         assert path.read_text() == "# x=1\na,b\n"
 
     def test_reexport_byte_identical(self, tmp_path):
-        series = basic_curve(0.01, 0.1, 500, seed=0, stride=100)
+        series = run_basic([0.01], [0.1], 500, seed=0, stride=100)[(0.01, 0.1)]
         p1 = write_series_csv(tmp_path / "one.csv", series)
         p2 = write_series_csv(tmp_path / "two.csv", series)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_row_count_and_fixed_point(self, tmp_path):
-        series = basic_curve(0.01, 0.1, 1_000, seed=0, stride=100)
+        series = run_basic([0.01], [0.1], 1_000, seed=0, stride=100)[(0.01, 0.1)]
         path = write_series_csv(tmp_path / "s.csv", series)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# ")
