@@ -165,6 +165,27 @@ MUTANTS = [
         ((SIMULATOR, "if not math.isfinite(self.base_unit_cost * self.chiplets_per_ic * top):",
           "if False:"),),
     ),
+    Mutant(
+        "draw_high_half_dropped",
+        "a bounded draw takes the kept high half of the previous word before a fresh word",
+        ((SIMULATOR, "        self._half = word >> 32\n", "        self._half = None\n"),),
+    ),
+    Mutant(
+        "draw_rejection_removed",
+        "a bounded draw rejects a low product below (2**32 - n) % n, as numpy's Lemire method does",
+        ((SIMULATOR,
+          "        while m & 0xFFFFFFFF < threshold:\n            m = self._next32() * n\n", ""),),
+    ),
+    Mutant(
+        "draw_for_one_choice",
+        "a draw below 1 takes no bits from the stream, as numpy's integers(0, 1) takes none",
+        ((SIMULATOR, "        if n == 1:\n            return 0\n", ""),),
+    ),
+    Mutant(
+        "curve_labels_unchecked",
+        "two distinct curve rates or probabilities never share a label",
+        ((HARNESS, "        if first != value:\n", "        if False:\n"),),
+    ),
 ]
 
 

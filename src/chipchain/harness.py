@@ -211,6 +211,19 @@ def _check_curve_inputs(
             raise InvalidConfig(f"defect probability must be in [0, 1], got {p!r}")
 
 
+def _check_distinct_labels(name: str, values: Sequence[float]) -> None:
+    """Raise ``InvalidConfig`` if two distinct values print alike as ``:g``.
+
+    Curves, their labels and their CSV names are keyed by that text, so one
+    curve would silently replace the other.
+    """
+    seen: dict[str, float] = {}
+    for value in values:
+        first = seen.setdefault(f"{value:g}", value)
+        if first != value:
+            raise InvalidConfig(f"{name} {first!r} and {value!r} share the label {value:g}")
+
+
 def run_basic(
     m_values: Sequence[float],
     defect_probs: Sequence[float],
@@ -223,6 +236,8 @@ def run_basic(
     if not m_values or not defect_probs:
         raise InvalidConfig("basic sweep needs a non-empty grid")
     _check_curve_inputs(n_txn, seed, stride, m_values, defect_probs)
+    _check_distinct_labels("decrease rates", m_values)
+    _check_distinct_labels("defect probabilities", defect_probs)
     u = uniform_draws(n_txn, seed)
     curves = {}
     for m in m_values:
@@ -258,6 +273,7 @@ def run_attack(
         raise InvalidConfig(f"switch_at must be an integer in [0, {n_txn}), got {switch_at!r}")
     if not malicious_ps:
         raise InvalidConfig("at least one malicious level is required")
+    _check_distinct_labels("defect probabilities", malicious_ps)
     u = uniform_draws(n_txn, seed)
     benign = u < benign_p
     masks: dict[str, np.ndarray] = {"benign": benign}

@@ -886,16 +886,24 @@ def load_log_records(path) -> list[tuple]:
     """Parse a newline-delimited ledger log file back into records.
 
     A line that is not UTF-8 or not a well-formed record raises
-    ``InvalidArgument`` naming ``path:line``.
+    ``InvalidArgument`` naming ``path:line``. Each line goes straight to the
+    scanner behind ``json.loads``; a line it does not take whole as one JSON
+    value is handed to ``json.loads``, so the error it reports is unchanged.
     """
     records = []
     obj = None
+    scan = json.JSONDecoder().scan_once
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8").strip()
                 if line:
-                    obj = json.loads(line)
+                    try:
+                        obj, end = scan(line, 0)
+                    except StopIteration:
+                        end = None
+                    if end != len(line):
+                        obj = json.loads(line)
                     records.append(_obj_to_record(obj))
             except (ValueError, TypeError, KeyError, AttributeError, InvalidArgument) as exc:
                 raise InvalidArgument(f"{path}:{lineno}: {_line_error(obj, exc)}") from None

@@ -15,11 +15,13 @@ fabrication time, they surface only at the lifecycle verifier. Behavior
 profiles support benign, malicious, and sleeper (benign-then-malicious)
 entities.
 
-Everything is a pure function of (config, seed). The PRNG is PCG64 (numpy's
-default bit generator), so identical configs yield bit-identical streams. A
-stream is a sequence of ledger log records: applied to a fresh ledger it never
-violates an operation precondition and reproduces itself as the ledger's log,
-so a saved log replays without regeneration.
+Everything is a pure function of (config, seed). The randomness is numpy's
+PCG64 stream, drawn in blocks of raw 64-bit words (``_Draws``): each draw
+equals the ``np.random.Generator(np.random.PCG64(seed))`` call it stands for,
+for integer bounds up to 2**32, so identical configs yield bit-identical
+streams. A stream is a sequence of ledger log records: applied to a fresh
+ledger it never violates an operation precondition and reproduces itself as
+the ledger's log, so a saved log replays without regeneration.
 """
 
 from __future__ import annotations
@@ -243,8 +245,63 @@ def assign_behaviors(
 
 
 def sample_defect(profile: BehaviorProfile, txn_index: int, rng: np.random.Generator) -> bool:
-    """Draw the latent defect bit for a part fabricated at stream position txn_index."""
-    return float(rng.random()) < profile.prob_at(txn_index)
+    """Draw the latent defect bit for a part fabricated at stream position txn_index.
+
+    ``rng`` is anything with numpy's scalar ``random()``: a ``Generator`` or
+    the generator's ``_Draws``.
+    """
+    return rng.random() < profile.prob_at(txn_index)
+
+
+#: Raw 64-bit words ``_Draws`` takes from the bit generator at a time.
+_BLOCK = 1024
+_TWO_POW_MINUS_53 = 1.0 / 9007199254740992.0
+
+
+def _raw_words(bits: np.random.PCG64) -> Iterator[int]:
+    """The bit generator's raw 64-bit outputs, fetched ``_BLOCK`` at a time."""
+    while True:
+        yield from bits.random_raw(_BLOCK).tolist()
+
+
+class _Draws:
+    """numpy's PCG64 stream for ``seed``, drawn in blocks of raw words.
+
+    ``random()`` and ``below(n)`` return what ``Generator.random()`` and
+    ``Generator.integers(0, n)`` return on ``Generator(PCG64(seed))`` after the
+    same sequence of calls, for 1 <= n <= 2**32: a double is the top 53 bits of
+    a word, and a bounded integer is Lemire's multiply-and-reject on 32-bit
+    halves, each word giving its low half first and keeping its high half for
+    the next 32-bit draw, as PCG64's ``next_uint32`` does.
+    """
+
+    __slots__ = ("_word", "_half")
+
+    def __init__(self, seed: int):
+        self._word = _raw_words(np.random.PCG64(seed)).__next__
+        self._half: int | None = None
+
+    def random(self) -> float:
+        return (self._word() >> 11) * _TWO_POW_MINUS_53
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = self._word()
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def below(self, n: int) -> int:
+        """A uniform integer in [0, n); numpy draws nothing for n == 1."""
+        if n == 1:
+            return 0
+        m = self._next32() * n
+        threshold = (0x100000000 - n) % n
+        while m & 0xFFFFFFFF < threshold:
+            m = self._next32() * n
+        return m >> 32
 
 
 class _PartnerPools:
@@ -260,7 +317,7 @@ class _PartnerPools:
 
     def pick(
         self,
-        rng: np.random.Generator,
+        rng: _Draws,
         role: Role,
         home: ChainId,
         exclude: EntityId,
@@ -272,7 +329,7 @@ class _PartnerPools:
             pool = other
         else:
             pool = same or other
-        idx = int(rng.integers(0, len(pool)))
+        idx = rng.below(len(pool))
         choice = pool[idx]
         if choice == exclude and len(pool) > 1:
             choice = pool[(idx + 1) % len(pool)]
@@ -300,7 +357,7 @@ def generate_stream(
         if eid not in behaviors:
             raise InvalidConfig(f"no behavior profile for manufacturer {eid!r}")
 
-    rng = np.random.Generator(np.random.PCG64(cfg.rng_seed))
+    rng = _Draws(cfg.rng_seed)
     chain_names = [c for c, _ in cfg.chains]
 
     for chain in chain_names:
@@ -334,7 +391,7 @@ def generate_stream(
         """Stations for one part: 'lo..hi' mid-role hops, then the verifier."""
         holder = start
         stations = []
-        for _ in range(int(rng.integers(lo, hi + 1))):
+        for _ in range(lo + rng.below(hi - lo + 1)):
             nxt = pools.pick(rng, mid_role, chain_of[holder], holder, cfg.cross_chain_prob)
             if nxt != holder:
                 stations.append(nxt)
@@ -343,7 +400,7 @@ def generate_stream(
         return stations
 
     while txns < budget:
-        cm = cms[int(rng.integers(0, len(cms)))]
+        cm = cms[rng.below(len(cms))]
         serial += 1
         hid = hash_device_id(f"c{serial:09d}")
         ids = (hid,)
@@ -441,8 +498,8 @@ def replay(
     traces: list[PenaltyTrace] = []
     columns: list[EntityId] = []
     indices: list[int] = []
-    rows_r: list[list[float]] = []
-    rows_norm: list[list[float]] = []
+    rows_r: list[np.ndarray] = []
+    rows_norm: list[np.ndarray] = []
 
     def snapshot() -> None:
         if not indices:
@@ -451,8 +508,8 @@ def replay(
             )
         indices.append(txn_count)
         row_r, row_norm = engine.sample(columns)
-        rows_r.append(row_r)
-        rows_norm.append(row_norm)
+        rows_r.append(np.array(row_r, dtype=np.float64))
+        rows_norm.append(np.array(row_norm, dtype=np.float64))
 
     apply = ledger.apply_record
     for position, rec in enumerate(records, start=1):

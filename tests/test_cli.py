@@ -121,11 +121,18 @@ class TestCurveInputs:
              "defect probability must be in [0, 1], got -inf"),
             ("attack", ["--switch-at", "10"], "switch_at must be an integer in [0, 10), got 10"),
             ("attack", ["--switch-at", "-1"], "switch_at must be an integer in [0, 10), got -1"),
+            ("basic", ["--defect-prob", "0.0015", "--defect-prob", "0.00150000001"],
+             "defect probabilities 0.0015 and 0.00150000001 share the label 0.0015"),
+            ("basic", ["--m", "0.01", "--m", "0.0100000001"],
+             "decrease rates 0.01 and 0.0100000001 share the label 0.01"),
+            ("attack", ["--malicious-p", "0.0015", "--malicious-p", "0.00150000001"],
+             "defect probabilities 0.0015 and 0.00150000001 share the label 0.0015"),
         ],
         ids=[
             "basic_nan_p", "basic_p_above_1", "basic_negative_p", "attack_nan_benign_p",
             "attack_malicious_p_above_1", "attack_negative_malicious_p", "attack_switch_at_n",
-            "attack_negative_switch",
+            "attack_negative_switch", "basic_colliding_p_labels", "basic_colliding_m_labels",
+            "attack_colliding_p_labels",
         ],
     )
     def test_probabilities_and_switch(self, capsys, command, flags, message):

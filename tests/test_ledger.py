@@ -903,6 +903,11 @@ class TestLogDecoding:
              r"expected a string, got \['a'\]"),
             ('{"op":"adjudicate","ta":"t","report":"R1","defective":[],"origins":{"i":2}}',
              "expected a string, got 2"),
+            ("\ufeff" + VALID,
+             r"invalid JSON: Unexpected UTF-8 BOM \(decode using utf-8-sig\) at column 1$"),
+            (VALID + VALID, "invalid JSON: Extra data at column 25$"),
+            (VALID + " x", "invalid JSON: Extra data at column 26$"),
+            ("[]", "log line is not a JSON object$"),
         ],
     )
     def test_malformed_line_names_path_and_line(self, tmp_path, line, message):

@@ -1,8 +1,10 @@
 import json
+import random
 
 import numpy as np
 import pytest
 
+from chipchain import simulator
 from chipchain.domain import Role
 from chipchain.errors import InvalidConfig
 from chipchain.ledger import PartKind, PartStatus, load_log_records
@@ -133,6 +135,31 @@ class TestSampleDefect:
         assert abs(count - expected) <= 3 * sigma
 
 
+class TestDraws:
+    """The generator's draws equal numpy's ``Generator`` on the same PCG64 seed."""
+
+    #: Small bounds, and bounds near 2**31 and 2**32 where numpy often rejects a draw.
+    BOUNDS = (1, 2, 3, 5, 250, 1000, 2**31 - 1, 2**31 + 11, 3 * 2**30 + 7, 2**32 - 1, 2**32)
+
+    @pytest.mark.parametrize("block", [simulator._BLOCK, 7])
+    @pytest.mark.parametrize("seed", [0, 1, 11, 7919, 2**64 - 1])
+    def test_interleaved_calls_match_numpy(self, monkeypatch, block, seed):
+        monkeypatch.setattr(simulator, "_BLOCK", block)
+        numpy_rng = np.random.Generator(np.random.PCG64(seed))
+        draws = simulator._Draws(seed)
+        calls = random.Random(seed)
+        want, got = [], []
+        for _ in range(5 * block + 50):  # crosses several block refills
+            if calls.random() < 0.4:
+                want.append(numpy_rng.random())
+                got.append(draws.random())
+            else:
+                n = calls.choice(self.BOUNDS) if calls.random() < 0.8 else calls.randint(1, 2**32)
+                want.append((n, int(numpy_rng.integers(0, n))))
+                got.append((n, draws.below(n)))
+        assert got == want
+
+
 class TestGenerateStream:
     def test_exact_transfer_budget(self):
         topo = build_topology(SMALL)
@@ -230,6 +257,19 @@ class TestReplay:
         assert result.sample_r.shape == (4, len(result.sample_entities))
         metas = [e for e in result.sample_entities if e.startswith("X^")]
         assert metas == []
+
+    @pytest.mark.parametrize(
+        "stride, rows", [(0, 0), (10 * SMALL.n_transactions, 1), (100, 4)],
+        ids=["no_snapshot", "one_snapshot", "four_snapshots"],
+    )
+    def test_sample_arrays_are_float64_rows(self, stride, rows):
+        topo = build_topology(SMALL)
+        engine = make_engine(topo)
+        result = replay(generate_stream(topo, SMALL), engine=engine, sample_stride=stride)
+        assert len(result.sample_indices) == rows
+        for samples in (result.sample_r, result.sample_norm):
+            assert samples.dtype == np.float64
+            assert samples.shape == (rows, len(result.sample_entities))
 
     def test_samples_track_engine_values(self):
         topo = build_topology(SMALL)
