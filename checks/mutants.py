@@ -186,6 +186,23 @@ MUTANTS = [
         "two distinct curve rates or probabilities never share a label",
         ((HARNESS, "        if first != value:\n", "        if False:\n"),),
     ),
+    Mutant(
+        "cut_route_reported",
+        "a route the budget ends before its verifier leaves its part in flight, unreported",
+        ((SIMULATOR,
+          "                return None  # the budget ends the route: the part stays in flight\n",
+          "                break\n"),),
+    ),
+    Mutant(
+        "hop_to_own_holder",
+        "a one-member pool never ships a part to its own holder",
+        ((SIMULATOR, "            if nxt == holder:\n", "            if False:\n"),),
+    ),
+    Mutant(
+        "hop_span_unchecked",
+        "a config's hop-count span is one draw, at most 2**32",
+        ((SIMULATOR, "        if hi - lo + 1 > 2**32:", "        if False:"),),
+    ),
 ]
 
 

@@ -47,7 +47,6 @@ from .simulator import (
     build_topology,
     generate_stream,
     replay,
-    sample_defect,
 )
 from .harness import (
     oracle_max_deviation,

@@ -365,7 +365,6 @@ def run_end_to_end(
     """
     if seed is not None and seed != cfg.rng_seed:
         cfg = dataclasses.replace(cfg, rng_seed=seed)
-    cfg.validate()
     params = params or ReputationParams()
     topology = build_topology(cfg)
     if behaviors is None:

@@ -8,7 +8,10 @@ freshly registered IC, which then hops through IC distributors to a system
 integrator for its own verification. Unit cost compounds by a configurable
 markup on every hop, and hop partners prefer the current holder's own chain,
 crossing consortium boundaries with a configurable probability (cross-chain
-hops are recorded through meta-entities by the ledger).
+hops are recorded through meta-entities by the ledger). A route is drawn hop
+by hop as the part ships: its hop count first, then each partner just before
+the part is transferred to it, so generation stops at the hop that spends the
+transfer budget.
 
 Defects are latent: sampled from the manufacturer's behavior profile at
 fabrication time, they surface only at the lifecycle verifier. Behavior
@@ -18,17 +21,18 @@ entities.
 Everything is a pure function of (config, seed). The randomness is numpy's
 PCG64 stream, drawn in blocks of raw 64-bit words (``_Draws``): each draw
 equals the ``np.random.Generator(np.random.PCG64(seed))`` call it stands for,
-for integer bounds up to 2**32, so identical configs yield bit-identical
-streams. A stream is a sequence of ledger log records: applied to a fresh
-ledger it never violates an operation precondition and reproduces itself as
-the ledger's log, so a saved log replays without regeneration.
+for integer bounds up to 2**32 (``SimConfig.validate`` keeps the hop-count
+span within it), so identical configs yield bit-identical streams. A stream
+is a sequence of ledger log records: applied to a fresh ledger it never
+violates an operation precondition and reproduces itself as the ledger's log,
+so a saved log replays without regeneration.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Generator, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -102,6 +106,8 @@ class SimConfig:
         lo, hi = self.hop_range
         if not isinstance(lo, int) or not isinstance(hi, int) or lo < 1 or hi < lo:
             raise InvalidConfig(f"hop_range must be integers 1 <= lo <= hi, got {self.hop_range}")
+        if hi - lo + 1 > 2**32:  # the hop count is one draw below the span
+            raise InvalidConfig(f"hop_range spans more than 2**32 hop counts, got {self.hop_range}")
         # The largest price generate_stream can write: chiplets bought after hi
         # markups each, built into an IC marked up once, then hi more markups.
         markups = 2 * hi + 1
@@ -244,15 +250,6 @@ def assign_behaviors(
     return profiles
 
 
-def sample_defect(profile: BehaviorProfile, txn_index: int, rng: np.random.Generator) -> bool:
-    """Draw the latent defect bit for a part fabricated at stream position txn_index.
-
-    ``rng`` is anything with numpy's scalar ``random()``: a ``Generator`` or
-    the generator's ``_Draws``.
-    """
-    return rng.random() < profile.prob_at(txn_index)
-
-
 #: Raw 64-bit words ``_Draws`` takes from the bit generator at a time.
 _BLOCK = 1024
 _TWO_POW_MINUS_53 = 1.0 / 9007199254740992.0
@@ -347,8 +344,9 @@ def generate_stream(
     are applied to a fresh ledger. Each hop is a transfer record followed by
     its confirm record, and each adjudicate record names its failed report by
     the sequential id the ledger assigns it. Emits exactly
-    ``cfg.n_transactions`` hops, truncating the last lifecycle when the
-    budget runs out; parts cut off mid-route simply remain in flight.
+    ``cfg.n_transactions`` hops. Each hop's partner is drawn as the part ships
+    to it, so the hop that spends the budget ends the stream: the lifecycle it
+    cuts draws nothing more, and its part simply remains in flight.
     """
     cfg.validate()
     if behaviors is None:
@@ -372,10 +370,10 @@ def generate_stream(
 
     pools = _PartnerPools(topology, chain_names)
     cms = topology.by_role[Role.CHIPLET_MANUFACTURER]
-    base_amount = cfg.base_unit_cost
     currency = STANDARD_CURRENCY
     markup = 1.0 + cfg.markup_pct / 100.0
     lo, hi = cfg.hop_range
+    cross_prob = cfg.cross_chain_prob
     chain_of = topology.chain_of
 
     serial = 0
@@ -387,80 +385,70 @@ def generate_stream(
         icm: [] for icm in topology.by_role[Role.IC_MANUFACTURER]
     }
 
-    def plan_route(start: EntityId, mid_role: Role, end_role: Role) -> list[EntityId]:
-        """Stations for one part: 'lo..hi' mid-role hops, then the verifier."""
-        holder = start
-        stations = []
-        for _ in range(lo + rng.below(hi - lo + 1)):
-            nxt = pools.pick(rng, mid_role, chain_of[holder], holder, cfg.cross_chain_prob)
-            if nxt != holder:
-                stations.append(nxt)
-                holder = nxt
-        stations.append(pools.pick(rng, end_role, chain_of[holder], holder, cfg.cross_chain_prob))
-        return stations
+    def leg(
+        kind: str, type_name: str, ids: tuple[str, ...], holder: EntityId, amount: float,
+        mid_role: Role, end_role: Role, defect: bool,
+    ) -> Generator[tuple, None, tuple[EntityId, float] | None]:
+        """Ship a part from its maker through 'lo..hi' mid-role hops to a verifier.
+
+        Returns the verifier and the price it paid when the part passes its
+        report, and None when the part fails it or the budget ends the route
+        before the verifier (the part stays in flight).
+        """
+        nonlocal txns, reports
+        for left in range(lo + rng.below(hi - lo + 1), -1, -1):
+            role = mid_role if left else end_role
+            nxt = pools.pick(rng, role, chain_of[holder], holder, cross_prob)
+            if nxt == holder:
+                continue  # a one-member pool holds the part already: no hop
+            yield ("transfer", kind, type_name, holder, nxt, ids, (amount,), currency)
+            yield ("confirm", nxt, type_name, ids)
+            txns += 1
+            holder, paid = nxt, amount
+            amount *= markup
+            if txns >= budget and left:
+                return None  # the budget ends the route: the part stays in flight
+        reports += 1
+        yield ("report", holder, ids, int(defect))
+        if defect:
+            yield ("adjudicate", topology.tas[chain_of[holder]], f"R{reports:06d}", ids, ())
+            return None
+        return holder, paid
 
     while txns < budget:
         cm = cms[rng.below(len(cms))]
         serial += 1
         hid = hash_device_id(f"c{serial:09d}")
         ids = (hid,)
-        defect = sample_defect(behaviors[cm], txns, rng)
+        defect = rng.random() < behaviors[cm].prob_at(txns)
         type_name = topology.chiplet_type_of[cm]
         yield ("devices", cm, type_name, ids)
-
-        stations = plan_route(cm, Role.CHIPLET_DISTRIBUTOR, Role.IC_MANUFACTURER)
-        holder, amount, acquisition = cm, base_amount, base_amount
-        reached = True
-        for i, nxt in enumerate(stations):
-            yield ("transfer", chiplet_kind, type_name, holder, nxt, ids, (amount,), currency)
-            yield ("confirm", nxt, type_name, ids)
-            txns += 1
-            holder, acquisition = nxt, amount
-            amount *= markup
-            if txns >= budget:
-                reached = i == len(stations) - 1
-                break
-        if not reached:
-            return  # part left in flight; transfer budget exhausted
-        icm = holder
-        reports += 1
-        yield ("report", icm, ids, int(defect))
-        if defect:
-            yield ("adjudicate", topology.tas[chain_of[icm]], f"R{reports:06d}", ids, ())
+        verified = yield from leg(
+            chiplet_kind, type_name, ids, cm, cfg.base_unit_cost,
+            Role.CHIPLET_DISTRIBUTOR, Role.IC_MANUFACTURER, defect,
+        )
+        if verified is None:
             continue
-        ic_pools[icm].append((hid, acquisition))
-        if len(ic_pools[icm]) < cfg.chiplets_per_ic or txns >= budget:
+        icm, acquisition = verified
+        pool = ic_pools[icm]
+        pool.append((hid, acquisition))
+        if len(pool) < cfg.chiplets_per_ic or txns >= budget:
             continue
 
         # Enough verified chiplets: build and ship an IC.
-        batch = ic_pools[icm][: cfg.chiplets_per_ic]
-        del ic_pools[icm][: cfg.chiplets_per_ic]
         serial += 1
         ic_hid = hash_device_id(f"i{serial:09d}")
         ic_ids = (ic_hid,)
-        ic_defect = sample_defect(behaviors[icm], txns, rng)
+        ic_defect = rng.random() < behaviors[icm].prob_at(txns)
         ic_type = topology.ic_type_of[icm]
         yield ("devices", icm, ic_type, ic_ids)
-        yield ("consume", icm, tuple(sorted(h for h, _ in batch)), ic_hid)
-        stations = plan_route(icm, Role.IC_DISTRIBUTOR, Role.SYSTEM_INTEGRATOR)
-        holder, amount = icm, sum(a for _, a in batch) * markup
-        reached = True
-        for i, nxt in enumerate(stations):
-            yield ("transfer", ic_kind, ic_type, holder, nxt, ic_ids, (amount,), currency)
-            yield ("confirm", nxt, ic_type, ic_ids)
-            txns += 1
-            holder = nxt
-            amount *= markup
-            if txns >= budget:
-                reached = i == len(stations) - 1
-                break
-        if not reached:
-            return
-        si = holder
-        reports += 1
-        yield ("report", si, ic_ids, int(ic_defect))
-        if ic_defect:
-            yield ("adjudicate", topology.tas[chain_of[si]], f"R{reports:06d}", ic_ids, ())
+        yield ("consume", icm, tuple(sorted(h for h, _ in pool)), ic_hid)
+        cost = sum(a for _, a in pool) * markup
+        pool.clear()
+        yield from leg(
+            ic_kind, ic_type, ic_ids, icm, cost,
+            Role.IC_DISTRIBUTOR, Role.SYSTEM_INTEGRATOR, ic_defect,
+        )
 
 
 @dataclass

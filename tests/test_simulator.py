@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import random
 
@@ -16,7 +18,6 @@ from chipchain.simulator import (
     build_topology,
     generate_stream,
     replay,
-    sample_defect,
 )
 
 SMALL = SimConfig(
@@ -107,20 +108,19 @@ class TestAssignBehaviors:
             BehaviorProfile(0.1, switch_at=5)
 
 
-class TestSampleDefect:
+class TestProbAt:
+    """The defect probability of a part fabricated at a stream position."""
+
     def test_zero_probability(self):
-        rng = np.random.Generator(np.random.PCG64(0))
-        assert not any(sample_defect(BehaviorProfile(0.0), i, rng) for i in range(1000))
+        assert all(BehaviorProfile(0.0).prob_at(i) == 0.0 for i in range(1000))
 
     def test_unit_probability(self):
-        rng = np.random.Generator(np.random.PCG64(0))
-        assert all(sample_defect(BehaviorProfile(1.0), i, rng) for i in range(1000))
+        assert all(BehaviorProfile(1.0).prob_at(i) == 1.0 for i in range(1000))
 
     def test_switch_changes_rate(self):
         profile = BehaviorProfile(0.0, switch_at=100, post_switch_prob=1.0)
-        rng = np.random.Generator(np.random.PCG64(0))
-        assert not sample_defect(profile, 99, rng)
-        assert sample_defect(profile, 100, rng)
+        assert profile.prob_at(99) == 0.0
+        assert profile.prob_at(100) == 1.0
 
     def test_empirical_rate_binomial_bound(self):
         # Mixed profile over 1e6 draws: expect about n/2 * (p1 + p2) defects.
@@ -174,8 +174,6 @@ class TestGenerateStream:
         assert a == b
 
     def test_different_seeds_differ(self):
-        import dataclasses
-
         topo = build_topology(SMALL)
         other_cfg = dataclasses.replace(SMALL, rng_seed=12)
         a = list(generate_stream(topo, SMALL))
@@ -204,6 +202,21 @@ class TestGenerateStream:
         topo = build_topology(SMALL)
         result = replay(generate_stream(topo, SMALL), engine=make_engine(topo))
         assert result.txn_count == SMALL.n_transactions
+
+    @pytest.mark.parametrize("p, failed", [(0.0, 0), (1.0, 1)])
+    def test_report_results_follow_the_defect_probability(self, p, failed):
+        topo = build_topology(SMALL)
+        stream = generate_stream(topo, SMALL, assign_behaviors(topo, uniform_p=p))
+        results = {rec[3] for rec in stream if rec[0] == "report"}
+        assert results == {failed}
+
+    def test_widest_hop_span_stops_at_the_budget(self):
+        # Each hop is drawn as the part ships, so a route of up to 2**32 hops
+        # costs no more than the budget's three.
+        cfg = SimConfig(markup_pct=0.0, hop_range=(1, 2**32), n_transactions=3)
+        ops = [rec[0] for rec in generate_stream(build_topology(cfg), cfg)]
+        assert ops.count("transfer") == 3
+        assert ops[-1] == "confirm"
 
     def test_missing_profile_rejected(self):
         topo = build_topology(SMALL)
@@ -332,6 +345,69 @@ class TestRecordContract:
         assert failed_kinds == {PartKind.CHIPLET, PartKind.IC}
 
 
+#: One entity per role on one chain: every partner pool has one member, so a
+#: distributor's next pick is itself and that hop is skipped.
+ONE_PER_ROLE = SimConfig(
+    chiplet_mfrs=1, chiplet_dists=1, ic_mfrs=1, ic_dists=1, si_count=1,
+    chains=(("TC-1", True),),
+)
+#: Two chains with odd role counts, so some same-chain pools have one member.
+TWO_CHAINS = SimConfig(
+    chiplet_mfrs=2, chiplet_dists=3, ic_mfrs=2, ic_dists=3, si_count=2,
+    chains=(("TC-1", True), ("UC-1", False)),
+)
+
+
+def corner_case_streams():
+    """(config, stream) for small worlds, every budget from 1 to 30 and seeds 0-1.
+
+    The budgets cut routes at every hop position, chiplet and IC, and a 0.2
+    defect rate makes both kinds of adjudication common.
+    """
+    for world, cross in ((ONE_PER_ROLE, 0.15), (TWO_CHAINS, 0.0), (TWO_CHAINS, 1.0)):
+        for hop_range in ((1, 1), (2, 5)):
+            for budget in range(1, 31):
+                for seed in (0, 1):
+                    cfg = dataclasses.replace(
+                        world, cross_chain_prob=cross, hop_range=hop_range,
+                        n_transactions=budget, rng_seed=seed,
+                    )
+                    topo = build_topology(cfg)
+                    behaviors = assign_behaviors(topo, uniform_p=0.2)
+                    yield cfg, list(generate_stream(topo, cfg, behaviors))
+
+
+class TestCornerCaseStreams:
+    #: Recorded before the route legs were drawn as the part ships, when
+    #: ``plan_route`` drew each whole route before its first hop.
+    DIGEST = "e085f0ff4c217700a775c8e5aa645fca76756a03319c364026502a0e7e0cf72a"
+
+    def test_only_a_verifier_reports(self):
+        # A route the budget ends before its verifier leaves its part in
+        # flight at a distributor, unreported.
+        verifiers = {Role.IC_MANUFACTURER.value, Role.SYSTEM_INTEGRATOR.value}
+        for _, stream in corner_case_streams():
+            roles = {rec[1]: rec[2] for rec in stream if rec[0] == "entity"}
+            assert all(roles[rec[1]] in verifiers for rec in stream if rec[0] == "report")
+
+    def test_one_member_pool_skips_the_hop_to_the_holder(self):
+        for cfg, stream in corner_case_streams():
+            transfers = [rec for rec in stream if rec[0] == "transfer"]
+            assert all(rec[3] != rec[4] for rec in transfers)
+            if cfg.chiplet_dists == 1:
+                # The only distributor cannot pass the part to itself, so
+                # every route is maker, distributor, verifier.
+                routes = [rec[5] for rec in transfers]
+                assert all(routes.count(ids) <= 2 for ids in routes)
+
+    def test_streams_match_recorded_digest(self):
+        digest = hashlib.sha256()
+        for _, stream in corner_case_streams():
+            for rec in stream:
+                digest.update(repr(rec).encode() + b"\n")
+        assert digest.hexdigest() == self.DIGEST
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -350,3 +426,9 @@ class TestConfigValidation:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(InvalidConfig):
             SimConfig(**kwargs).validate()
+
+    def test_hop_span_beyond_one_draw_rejected(self):
+        # A hop count is one draw below the span, exact only up to 2**32.
+        SimConfig(markup_pct=0.0, hop_range=(1, 2**32)).validate()
+        with pytest.raises(InvalidConfig, match="hop_range"):
+            SimConfig(markup_pct=0.0, hop_range=(1, 2**32 + 1)).validate()
