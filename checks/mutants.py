@@ -66,7 +66,7 @@ MUTANTS = [
     Mutant(
         "re_report",
         "a verified part cannot be reported again",
-        ((LEDGER, "            if part.status is not PartStatus.OWNED:\n",
+        ((LEDGER, "            if part.status is not _OWNED:\n",
           "            if part.status is PartStatus.CONSUMED:\n"),),
     ),
     Mutant(
@@ -99,11 +99,11 @@ MUTANTS = [
         "a meta-entity on a passing path is rewarded like any seller (shared)",
         ((ENGINE,
           "        for seller, _buyer, amount, currency in path:\n"
-          "            value = amount * rate(currency)\n",
+          "            value = amount * (rates.get(currency) or self.exchange.rate(currency))\n",
           "        for seller, _buyer, amount, currency in path:\n"
           '            if seller.startswith("X^"):\n'
           "                continue\n"
-          "            value = amount * rate(currency)\n"),
+          "            value = amount * (rates.get(currency) or self.exchange.rate(currency))\n"),
          (ORACLE, "                        credit(seller, amount * rates[currency])\n",
           '                        if not seller.startswith("X^"):\n'
           "                            credit(seller, amount * rates[currency])\n")),
@@ -202,6 +202,129 @@ MUTANTS = [
         "hop_span_unchecked",
         "a config's hop-count span is one draw, at most 2**32",
         ((SIMULATOR, "        if hi - lo + 1 > 2**32:", "        if False:"),),
+    ),
+    Mutant(
+        "lone_role_walked",
+        "a route whose next pick lands on its role's only member goes straight to its verifier",
+        ((SIMULATOR, "                left = 0 if role in lone else left - 1\n",
+          "                left -= 1\n"),),
+    ),
+    Mutant(
+        "dispatch_captures_functions",
+        "replay reaches each op's method by name, so a method replaced on the class"
+        " sees its records",
+        ((LEDGER, "        return getattr(self, name)(rec)\n",
+          "        return _CAPTURED[name](self, rec)\n"),
+         (LEDGER, '    "adjudicate": "_apply_adjudicate",\n}\n',
+          '    "adjudicate": "_apply_adjudicate",\n}\n'
+          "_CAPTURED = {name: getattr(Ledger, name) for name in _APPLY.values()}\n")),
+    ),
+    # One mutant per precondition of each ledger op: role, owner, status,
+    # count, currency and trusted-authority chain.
+    Mutant(
+        "transfer_role_unchecked",
+        "only a role that may sell a part kind transfers it",
+        ((LEDGER, "        if src_entity.role not in TRANSFER_ROLES[kind]:\n",
+          "        if False:\n"),),
+    ),
+    Mutant(
+        "transfer_owner_unchecked",
+        "only a device's owner transfers it",
+        ((LEDGER,
+          "            if part.owner != caller:\n"
+          '                raise NotOwner(f"{caller!r} does not own device {hid!r}")\n'
+          "            if part.status not in TRANSFERABLE:\n",
+          "            if part.status not in TRANSFERABLE:\n"),),
+    ),
+    Mutant(
+        "transfer_status_unchecked",
+        "a device in transit, consumed or defective is not transferred",
+        ((LEDGER, "            if part.status not in TRANSFERABLE:\n", "            if False:\n"),),
+    ),
+    Mutant(
+        "transfer_count_unchecked",
+        "a transfer record carries one amount per distinct id",
+        ((LEDGER, "        _check_count(n, id_tuple, amounts)\n", ""),),
+    ),
+    Mutant(
+        "transfer_currency_unchecked",
+        "a sale in a currency the exchange table lacks never enters the log",
+        ((LEDGER, "        if currency not in self.exchange.rates:\n", "        if False:\n"),),
+    ),
+    Mutant(
+        "confirm_destination_unchecked",
+        "only a pending transfer's destination confirms or rejects it",
+        ((LEDGER, "        if rec[4] != caller:\n", "        if False:\n"),),
+    ),
+    Mutant(
+        "confirm_count_unchecked",
+        "a confirm declares as many units as it names distinct ids",
+        ((LEDGER, "        if n != len(id_tuple):\n", "        if False:\n"),),
+    ),
+    Mutant(
+        "devices_registrant_unchecked",
+        "only a part type's registrant registers devices of it",
+        ((LEDGER, "        if caller != ptype.registrant:\n", "        if False:\n"),),
+    ),
+    Mutant(
+        "devices_reregistered",
+        "a device id is registered once",
+        ((LEDGER, "            if hid in parts:\n", "            if False:\n"),),
+    ),
+    Mutant(
+        "consume_role_unchecked",
+        "only an IC manufacturer consumes chiplets",
+        ((LEDGER, "        if entity.role is not Role.IC_MANUFACTURER:\n", "        if False:\n"),),
+    ),
+    Mutant(
+        "consume_owner_unchecked",
+        "an IC manufacturer consumes only chiplets it owns",
+        ((LEDGER,
+          "            if part.owner != caller:\n"
+          '                raise NotOwner(f"{caller!r} does not own chiplet {hid!r}")\n', ""),),
+    ),
+    Mutant(
+        "consume_status_unchecked",
+        "only an owned or verified chiplet is consumed",
+        ((LEDGER, "            if part.status not in (PartStatus.OWNED, PartStatus.VERIFIED_OK):\n",
+          "            if False:\n"),),
+    ),
+    Mutant(
+        "report_role_unchecked",
+        "only a part kind's verifier role reports it",
+        ((LEDGER, "        if entity.role not in REPORTER_ROLES[kind]:\n", "        if False:\n"),),
+    ),
+    Mutant(
+        "report_owner_unchecked",
+        "a reporter reports only devices it owns",
+        ((LEDGER,
+          "            if part.owner != caller:\n"
+          '                raise NotOwner(f"{caller!r} does not own device {hid!r}")\n'
+          "            if part.status is not _OWNED:\n",
+          "            if part.status is not _OWNED:\n"),),
+    ),
+    Mutant(
+        "report_kinds_unchecked",
+        "a report covers one part kind",
+        ((LEDGER, '                raise InvalidArgument("a report must cover one part kind")\n',
+          "                pass\n"),),
+    ),
+    Mutant(
+        "adjudicator_role_unchecked",
+        "only a trusted authority adjudicates",
+        ((LEDGER, "        if ta_entity.role is not Role.TRUSTED_AUTHORITY:\n",
+          "        if False:\n"),),
+    ),
+    Mutant(
+        "adjudicator_chain_unchecked",
+        "the adjudicating trusted authority sits on the reporter's chain",
+        ((LEDGER, "        if self._entities[reporter].chain != ta_entity.chain:\n",
+          "        if False:\n"),),
+    ),
+    Mutant(
+        "passed_report_adjudicated",
+        "only a failed report is adjudicated",
+        ((LEDGER, "        if result != 1:\n", "        if False:\n"),),
     ),
 ]
 

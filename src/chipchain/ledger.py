@@ -8,6 +8,13 @@ comparing canonical JSON serializations). The log persists as newline-delimited
 JSON, one operation per line with fixed field order; replay from that file is
 the recovery mechanism.
 
+Each operation has one validating body, and ``apply_record`` hands every log
+record to the body of its op. A transfer's body takes the record itself and
+logs that very tuple when it is canonical (a tuple with a ``str`` kind and a
+sorted ``tuple`` of ids without duplicates), so a log that is replayed shares
+its records with the ledger it builds; other input is logged as an equal
+canonical record.
+
 Device transfers are two-phase: the seller initiates, parts are locked in
 transit, and ownership moves only when the named destination confirms. A
 destination may instead reject, returning the parts to their owner. Transfers
@@ -66,8 +73,9 @@ class PartKind(str, Enum):
     IC = "ic"
 
 
-#: Part kinds by value, so that replay need not call the enum.
+#: Part kinds by value, so that replay need not call the enum, and values by kind.
 _KINDS: Mapping[str, PartKind] = {kind.value: kind for kind in PartKind}
+_KIND_VALUES: Mapping[PartKind, str] = {kind: kind.value for kind in PartKind}
 
 
 class PartStatus(str, Enum):
@@ -77,8 +85,12 @@ class PartStatus(str, Enum):
     CONSUMED = "consumed_into_ic"
     VERIFIED_OK = "verified_ok"
     DEFECTIVE = "defective"
-    SUSPICIOUS = "suspicious"
 
+
+#: The statuses and role that transfer, confirm and report read once per call,
+#: as module names: a member read through its enum class costs ten times as much.
+_IN_TRANSIT, _OWNED, _VERIFIED_OK = PartStatus.IN_TRANSIT, PartStatus.OWNED, PartStatus.VERIFIED_OK
+_META = Role.META_ENTITY
 
 #: Prefix of meta-entity ids; user entities may not take it.
 META_PREFIX = "X^"
@@ -257,21 +269,23 @@ class Ledger:
     def register_devices(
         self, caller: EntityId, part_type: str, ids: Iterable[HashedDeviceId]
     ) -> int:
-        ptype = self.part_type(part_type)
-        self.entity(caller)
+        ptype = self._types.get(part_type) or self.part_type(part_type)
+        if caller not in self._entities:
+            self.entity(caller)
         if caller != ptype.registrant:
             raise PermissionDenied(f"{caller!r} is not the registrant of {part_type!r}")
         id_tuple = _sorted_ids(ids)
         if not id_tuple:
             raise InvalidArgument("no device ids supplied")
+        parts = self._parts
         for hid in id_tuple:
             if not is_hashed_id(hid):
                 raise InvalidArgument(f"malformed hashed id {hid!r}")
-            if hid in self._parts:
+            if hid in parts:
                 raise AlreadyExists(f"device {hid!r} already registered")
         self._log.append(("devices", caller, part_type, id_tuple))
         for hid in id_tuple:
-            self._parts[hid] = PartRecord(hid, part_type, caller)
+            parts[hid] = PartRecord(hid, part_type, caller)
         return len(id_tuple)
 
     # -- two-phase transfer ----------------------------------------------------
@@ -285,8 +299,7 @@ class Ledger:
         sale_prices: Sequence[Money],
         dest: EntityId,
     ) -> None:
-        amounts, currency = _amounts(sale_prices)
-        self._transfer(PartKind.CHIPLET, caller, part_type, n, ids, amounts, currency, dest)
+        self._transfer(_sale_record("chiplet", caller, part_type, n, ids, sale_prices, dest))
 
     def transfer_ics(
         self,
@@ -297,57 +310,59 @@ class Ledger:
         sale_prices: Sequence[Money],
         dest: EntityId,
     ) -> None:
-        amounts, currency = _amounts(sale_prices)
-        self._transfer(PartKind.IC, caller, part_type, n, ids, amounts, currency, dest)
+        self._transfer(_sale_record("ic", caller, part_type, n, ids, sale_prices, dest))
 
-    def _transfer(
-        self,
-        kind: PartKind,
-        caller: EntityId,
-        part_type: str,
-        n: int,
-        ids: Iterable[HashedDeviceId],
-        amounts: tuple[float, ...],
-        currency: str,
-        dest: EntityId,
-    ) -> None:
-        """Initiate a transfer; ``amounts`` are valid amounts, per unit, in ``currency``."""
+    def _transfer(self, rec: tuple) -> None:
+        """Initiate the transfer of a ``transfer`` record: amounts per unit, in its currency.
+
+        A canonical record is logged and held as pending itself; any other is
+        logged as the canonical record equal to it. An amount that is not
+        valid, or a kind that names no part kind, raises ``InvalidArgument``.
+        """
+        _, kind_value, part_type, caller, dest, ids, amounts, currency = rec
+        for amount in amounts:
+            if not is_amount(amount) or not currency:
+                _field(Money, amount, currency)  # raises the error Money gives
+        kind = _part_kind(kind_value)
         id_tuple = _sorted_ids(ids)
-        if n != len(id_tuple) or n != len(amounts):
-            raise CountMismatch(
-                f"declared {n} units, got {len(id_tuple)} ids and {len(amounts)} prices"
-            )
+        n = len(ids)
+        _check_count(n, id_tuple, amounts)
         if n == 0:
             raise InvalidArgument("cannot transfer zero devices")
         if dest == caller:
             raise InvalidArgument("source and destination must differ")
-        src_entity = self.entity(caller)
-        dst_entity = self.entity(dest)
-        if dst_entity.role is Role.META_ENTITY:
+        entities = self._entities
+        src_entity = entities.get(caller) or self.entity(caller)
+        dst_entity = entities.get(dest) or self.entity(dest)
+        if dst_entity.role is _META:
             raise InvalidArgument("meta-entities cannot be a transfer destination")
         if src_entity.role not in TRANSFER_ROLES[kind]:
             raise PermissionDenied(
                 f"role {src_entity.role.value} may not transfer {kind.value}s"
             )
-        ptype = self.part_type(part_type)
+        ptype = self._types.get(part_type) or self.part_type(part_type)
         if ptype.kind is not kind:
             raise InvalidArgument(f"part type {part_type!r} is not a {kind.value} type")
-        self.exchange.rate(currency)  # unknown currencies never enter the log
+        if currency not in self.exchange.rates:
+            self.exchange.rate(currency)  # raises: unknown currencies never enter the log
+        parts = self._parts
         for hid in id_tuple:
-            part = self.part(hid)
+            part = parts.get(hid) or self.part(hid)
             if part.part_type != part_type:
                 raise InvalidArgument(f"device {hid!r} is not of type {part_type!r}")
             if part.owner != caller:
                 raise NotOwner(f"{caller!r} does not own device {hid!r}")
-            if part.status is PartStatus.IN_TRANSIT:
-                raise Conflict(f"device {hid!r} is already in transit")
             if part.status not in TRANSFERABLE:
+                if part.status is _IN_TRANSIT:
+                    raise Conflict(f"device {hid!r} is already in transit")
                 raise Conflict(f"device {hid!r} is {part.status.value}, not transferable")
-        rec = ("transfer", kind.value, part_type, caller, dest, id_tuple, amounts, currency)
+        if id_tuple is not ids or type(kind_value) is not str or type(rec) is not tuple:
+            rec = ("transfer", _KIND_VALUES[kind], part_type, caller, dest, id_tuple, amounts,
+                   currency)
         self._log.append(rec)
         self._pending[id_tuple] = rec
         for hid in id_tuple:
-            self._parts[hid].status = PartStatus.IN_TRANSIT
+            parts[hid].status = _IN_TRANSIT
 
     def _find_pending(
         self, caller: EntityId, part_type: str, ids: tuple[HashedDeviceId, ...]
@@ -371,15 +386,17 @@ class Ledger:
         )
         self._log.append(("confirm", caller, part_type, id_tuple))
         del self._pending[id_tuple]
-        src_chain = self._entities[source].chain
-        dst_chain = self._entities[dest].chain
+        entities = self._entities
+        src_chain = entities[source].chain
+        dst_chain = entities[dest].chain
         via_meta = None
         if src_chain != dst_chain:
             via_meta = self._get_or_create_meta(src_chain, dst_chain)
+        parts = self._parts
         for hid, amount in zip(id_tuple, amounts):
-            part = self._parts[hid]
+            part = parts[hid]
             part.owner = caller
-            part.status = PartStatus.OWNED
+            part.status = _OWNED
             if via_meta is None:
                 part.path.append((source, dest, amount, currency))
             else:
@@ -431,22 +448,23 @@ class Ledger:
         self, caller: EntityId, chiplet_ids: Iterable[HashedDeviceId], ic_id: HashedDeviceId
     ) -> None:
         """Record chiplets as built into an IC, linking the two provenance paths."""
-        entity = self.entity(caller)
+        entity = self._entities.get(caller) or self.entity(caller)
         if entity.role is not Role.IC_MANUFACTURER:
             raise PermissionDenied("only IC manufacturers consume chiplets")
         chiplets = _sorted_ids(chiplet_ids)
         if not chiplets:
             raise InvalidArgument("no chiplet ids supplied")
-        ic = self.part(ic_id)
-        if self._types[ic.part_type].kind is not PartKind.IC:
+        parts, types = self._parts, self._types
+        ic = parts.get(ic_id) or self.part(ic_id)
+        if types[ic.part_type].kind is not PartKind.IC:
             raise InvalidArgument(f"{ic_id!r} is not an IC")
         if ic.owner != caller:
             raise NotOwner(f"{caller!r} does not own IC {ic_id!r}")
         if ic.status not in (PartStatus.REGISTERED, PartStatus.OWNED):
             raise Conflict(f"IC {ic_id!r} is {ic.status.value}")
         for hid in chiplets:
-            part = self.part(hid)
-            if self._types[part.part_type].kind is not PartKind.CHIPLET:
+            part = parts.get(hid) or self.part(hid)
+            if types[part.part_type].kind is not PartKind.CHIPLET:
                 raise InvalidArgument(f"{hid!r} is not a chiplet")
             if part.status is PartStatus.CONSUMED:
                 raise Conflict(f"chiplet {hid!r} already consumed")
@@ -456,7 +474,7 @@ class Ledger:
                 raise Conflict(f"chiplet {hid!r} is {part.status.value}")
         self._log.append(("consume", caller, chiplets, ic_id))
         for hid in chiplets:
-            part = self._parts[hid]
+            part = parts[hid]
             part.status = PartStatus.CONSUMED
             part.consumed_into = ic_id
         return None
@@ -470,32 +488,35 @@ class Ledger:
         """
         if type(result) is not int or result not in (0, 1):
             raise InvalidArgument("result must be 0 (pass) or 1 (fail)")
-        entity = self.entity(caller)
+        entity = self._entities.get(caller) or self.entity(caller)
         id_tuple = _sorted_ids(ids)
         if not id_tuple:
             raise InvalidArgument("no device ids supplied")
-        kinds = {self._types[self.part(hid).part_type].kind for hid in id_tuple}
-        if len(kinds) != 1:
-            raise InvalidArgument("a report must cover one part kind")
-        kind = kinds.pop()
+        parts, types = self._parts, self._types
+        kind = types[(parts.get(id_tuple[0]) or self.part(id_tuple[0])).part_type].kind
+        if len(id_tuple) > 1:
+            kinds = {types[(parts.get(hid) or self.part(hid)).part_type].kind for hid in id_tuple}
+            if len(kinds) != 1:
+                raise InvalidArgument("a report must cover one part kind")
         if entity.role not in REPORTER_ROLES[kind]:
             raise PermissionDenied(f"role {entity.role.value} may not report {kind.value}s")
         for hid in id_tuple:
-            part = self._parts[hid]
+            part = parts[hid]
             if part.owner != caller:
                 raise NotOwner(f"{caller!r} does not own device {hid!r}")
-            if part.status is not PartStatus.OWNED:
+            if part.status is not _OWNED:
                 raise Conflict(f"device {hid!r} is {part.status.value}, not reportable")
         rec = ("report", caller, id_tuple, result)
         self._log.append(rec)
         report_id = f"R{len(self._reports) + 1:06d}"
         self._reports[report_id] = rec
         if result == 0:
+            engine = self.engine
             for hid in id_tuple:
-                part = self._parts[hid]
-                part.status = PartStatus.VERIFIED_OK
-                if self.engine is not None:
-                    self.engine.lifecycle_passed(part.path)
+                part = parts[hid]
+                part.status = _VERIFIED_OK
+                if engine is not None:
+                    engine.lifecycle_passed(part.path)
         return report_id
 
     def adjudicate(
@@ -673,56 +694,103 @@ class Ledger:
                 write(line + "\n")
 
     def apply_record(self, rec: tuple) -> AdjudicationResult | None:
-        """Apply one log record through the public (validating) API.
+        """Apply one log record through the validating body of its op.
 
         Returns the ``AdjudicationResult`` of an adjudicate record, else None.
         A field that names no role or part kind, or holds no valid amount,
         raises ``InvalidArgument``.
         """
-        op = rec[0]
-        if op == "chain":
-            self.add_chain(rec[1])
-        elif op == "entity":
-            self.add_entity(Entity(rec[1], _field(Role, rec[2]), rec[3]))
-        elif op == "type":
-            self._register_type(rec[3], rec[1], _part_kind(rec[2]))
-        elif op == "devices":
-            self.register_devices(rec[1], rec[2], rec[3])
-        elif op == "transfer":
-            _, kind, part_type, src, dst, ids, amounts, currency = rec
-            for amount in amounts:
-                if not is_amount(amount) or not currency:
-                    _field(Money, amount, currency)  # raises the error Money gives
-            self._transfer(_part_kind(kind), src, part_type, len(ids), ids, amounts, currency, dst)
-        elif op == "confirm":
-            self.confirm_transfer(rec[1], rec[2], len(rec[3]), rec[3])
-        elif op == "reject":
-            self.reject_transfer(rec[1], rec[2], rec[3])
-        elif op == "consume":
-            self.consume_chiplets(rec[1], rec[2], rec[3])
-        elif op == "report":
-            self.report(rec[1], rec[2], rec[3])
-        elif op == "adjudicate":
-            return self.adjudicate(rec[1], rec[2], rec[3], dict(rec[4]))
-        else:
-            raise InvalidArgument(f"unknown log operation {op!r}")
-        return None
+        try:
+            name = _APPLY[rec[0]]
+        except (KeyError, TypeError):
+            raise InvalidArgument(f"unknown log operation {rec[0]!r}") from None
+        return getattr(self, name)(rec)
+
+    # The record form of each op that has no method taking its record. Each
+    # calls the op's method by name on ``self``, so a method replaced on the
+    # class (a tracer's wrapper) sees every record of its op.
+
+    def _apply_chain(self, rec: tuple) -> None:
+        self.add_chain(rec[1])
+
+    def _apply_entity(self, rec: tuple) -> None:
+        self.add_entity(Entity(rec[1], _field(Role, rec[2]), rec[3]))
+
+    def _apply_type(self, rec: tuple) -> None:
+        self._register_type(rec[3], rec[1], _part_kind(rec[2]))
+
+    def _apply_devices(self, rec: tuple) -> None:
+        self.register_devices(rec[1], rec[2], rec[3])
+
+    def _apply_confirm(self, rec: tuple) -> None:
+        self.confirm_transfer(rec[1], rec[2], len(rec[3]), rec[3])
+
+    def _apply_reject(self, rec: tuple) -> None:
+        self.reject_transfer(rec[1], rec[2], rec[3])
+
+    def _apply_consume(self, rec: tuple) -> None:
+        self.consume_chiplets(rec[1], rec[2], rec[3])
+
+    def _apply_report(self, rec: tuple) -> None:
+        self.report(rec[1], rec[2], rec[3])
+
+    def _apply_adjudicate(self, rec: tuple) -> AdjudicationResult:
+        return self.adjudicate(rec[1], rec[2], rec[3], dict(rec[4]))
+
+
+#: The name of the ledger method that applies each op's record. Names, not
+#: functions, are looked up on the ledger at call time.
+_APPLY: Mapping[str, str] = {
+    "chain": "_apply_chain",
+    "entity": "_apply_entity",
+    "type": "_apply_type",
+    "devices": "_apply_devices",
+    "transfer": "_transfer",
+    "confirm": "_apply_confirm",
+    "reject": "_apply_reject",
+    "consume": "_apply_consume",
+    "report": "_apply_report",
+    "adjudicate": "_apply_adjudicate",
+}
 
 
 def _sorted_ids(ids: Iterable[HashedDeviceId]) -> tuple[HashedDeviceId, ...]:
-    """``ids`` sorted and without duplicates; a one-id tuple is already both."""
+    """``ids`` sorted and without duplicates: ``ids`` itself when it is a tuple that is both."""
     if type(ids) is tuple and len(ids) == 1:
         return ids
-    return tuple(sorted(set(ids)))
+    id_tuple = tuple(sorted(set(ids)))
+    return ids if type(ids) is tuple and id_tuple == ids else id_tuple
 
 
-def _amounts(sale_prices: Sequence[Money]) -> tuple[tuple[float, ...], str]:
-    """The amounts of ``sale_prices`` and the one currency they share."""
+def _check_count(n: int, id_tuple: tuple, amounts: Sequence) -> None:
+    """Refuse a transfer of ``n`` declared units that is not one amount per distinct id."""
+    if n != len(id_tuple) or n != len(amounts):
+        raise CountMismatch(
+            f"declared {n} units, got {len(id_tuple)} ids and {len(amounts)} prices"
+        )
+
+
+def _sale_record(
+    kind: str,
+    caller: EntityId,
+    part_type: str,
+    n: int,
+    ids: Iterable[HashedDeviceId],
+    sale_prices: Sequence[Money],
+    dest: EntityId,
+) -> tuple:
+    """The canonical transfer record of a sale of ``n`` devices at ``sale_prices``.
+
+    The prices must share one currency; with no prices it is the standard one.
+    """
     currencies = {price.currency for price in sale_prices}
     if len(currencies) > 1:
         raise InvalidArgument("all sale prices in one transfer must share a currency")
     currency = currencies.pop() if currencies else STANDARD_CURRENCY
-    return tuple(price.amount for price in sale_prices), currency
+    amounts = tuple(price.amount for price in sale_prices)
+    id_tuple = _sorted_ids(ids)
+    _check_count(n, id_tuple, amounts)
+    return ("transfer", kind, part_type, caller, dest, id_tuple, amounts, currency)
 
 
 def _field(build, *args):
@@ -753,8 +821,12 @@ def _part_kind(value) -> PartKind:
 # written.
 
 
-def _ids(ids: Iterable[str]) -> str:
-    return ",".join(map(_q, ids))
+def _ids(ids: Sequence[str]) -> str:
+    return _q(ids[0]) if len(ids) == 1 else ",".join(map(_q, ids))
+
+
+def _numbers(amounts: Sequence[float]) -> str:
+    return repr(amounts[0]) if len(amounts) == 1 else ",".join(map(repr, amounts))
 
 
 def _chain_line(rec: tuple) -> str:
@@ -780,7 +852,7 @@ def _transfer_line(rec: tuple) -> str:
     _, kind, part_type, src, dst, ids, amounts, currency = rec
     return (
         f'{{"op":"transfer","kind":{_q(kind)},"type":{_q(part_type)},"src":{_q(src)},'
-        f'"dst":{_q(dst)},"ids":[{_ids(ids)}],"amounts":[{",".join(map(repr, amounts))}],'
+        f'"dst":{_q(dst)},"ids":[{_ids(ids)}],"amounts":[{_numbers(amounts)}],'
         f'"currency":{_q(currency)}}}'
     )
 

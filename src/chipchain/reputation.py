@@ -214,10 +214,12 @@ class ReputationEngine:
 
     def lifecycle_passed(self, path: Iterable[Edge]) -> None:
         """Reward every seller along the path with the converted sale amount."""
-        rate = self.exchange.rate
+        rates, reps = self.exchange.rates, self._rep
         for seller, _buyer, amount, currency in path:
-            value = amount * rate(currency)
-            rep = self._get(seller)
+            value = amount * (rates.get(currency) or self.exchange.rate(currency))
+            rep = reps.get(seller)
+            if rep is None:
+                rep = reps[seller] = EntityReputation()
             rep.r += value
             rep.r_ideal += value
 

@@ -375,6 +375,8 @@ def generate_stream(
     lo, hi = cfg.hop_range
     cross_prob = cfg.cross_chain_prob
     chain_of = topology.chain_of
+    # Roles with one member in the whole world: a pick of one draws nothing.
+    lone = {role for role, members in topology.by_role.items() if len(members) == 1}
 
     serial = 0
     txns = 0
@@ -396,11 +398,16 @@ def generate_stream(
         before the verifier (the part stays in flight).
         """
         nonlocal txns, reports
-        for left in range(lo + rng.below(hi - lo + 1), -1, -1):
+        left = lo + rng.below(hi - lo + 1)
+        while left >= 0:
             role = mid_role if left else end_role
             nxt = pools.pick(rng, role, chain_of[holder], holder, cross_prob)
             if nxt == holder:
-                continue  # a one-member pool holds the part already: no hop
+                # A one-member pool holds the part already: no hop. When that
+                # member is its role's only one, every pick left before the
+                # verifier lands on it again and draws nothing, so skip them.
+                left = 0 if role in lone else left - 1
+                continue
             yield ("transfer", kind, type_name, holder, nxt, ids, (amount,), currency)
             yield ("confirm", nxt, type_name, ids)
             txns += 1
@@ -408,6 +415,7 @@ def generate_stream(
             amount *= markup
             if txns >= budget and left:
                 return None  # the budget ends the route: the part stays in flight
+            left -= 1
         reports += 1
         yield ("report", holder, ids, int(defect))
         if defect:

@@ -19,13 +19,14 @@ from chipchain.errors import (
 from chipchain.harness import oracle_max_deviation
 from chipchain.ledger import (
     Ledger,
+    PartKind,
     PartStatus,
     _encode_record,
     _LINE,
     load_log_records,
 )
 from chipchain.reputation import ObserverView, ReputationEngine, ReputationParams
-from chipchain.simulator import replay
+from chipchain.simulator import SimConfig, build_topology, generate_stream, replay
 
 
 def hid(label: str) -> str:
@@ -840,6 +841,167 @@ class TestMalformedTransferRecords:
         ledger.apply_record(rec)
         assert ledger.log_records()[-1] == rec
         assert transaction_rows(ledger)[-1]["amounts"] == [5, 0.1 + 0.2]
+
+
+A, B, C, D, E, F, G, IC = (c * 64 for c in "abcdef01")
+
+#: One world for every precondition: A at cd; B, C and D at icm, where B has
+#: passed its report (R000001), C failed R000002 and was found defective, and D
+#: failed R000003, not yet adjudicated; E is on its way from cm to cd; F is
+#: still at cm; icm holds the IC.
+PRECONDITION_WORLD = [
+    ("chain", "TA"),
+    ("chain", "TB"),
+    ("entity", "cm", "CM", "TA"),
+    ("entity", "cd", "CD", "TA"),
+    ("entity", "icm", "ICM", "TA"),
+    ("entity", "ta", "TA", "TA"),
+    ("entity", "tb", "TA", "TB"),
+    ("type", "ch", "chiplet", "cm"),
+    ("type", "ic", "ic", "icm"),
+    ("devices", "cm", "ch", (A, B, C, D, E, F)),
+    ("devices", "icm", "ic", (IC,)),
+    ("transfer", "chiplet", "ch", "cm", "cd", (A,), (1.0,), "STD"),
+    ("confirm", "cd", "ch", (A,)),
+    ("transfer", "chiplet", "ch", "cm", "icm", (B, C, D), (1.0, 1.0, 1.0), "STD"),
+    ("confirm", "icm", "ch", (B, C, D)),
+    ("report", "icm", (B,), 0),
+    ("report", "icm", (C,), 1),
+    ("adjudicate", "ta", "R000002", (C,), ()),
+    ("report", "icm", (D,), 1),
+    ("transfer", "chiplet", "ch", "cm", "cd", (E,), (1.0,), "STD"),
+]
+
+
+class TestPreconditions:
+    """Each op refuses a record that breaks one of its preconditions.
+
+    The error types and messages were recorded before each op had one
+    record-keyed body, and the refused record leaves no trace.
+    """
+
+    @pytest.mark.parametrize(
+        "rec, error, message",
+        [
+            (("transfer", "chiplet", "ch", "icm", "cd", (D,), (1.0,), "STD"),
+             PermissionDenied, "role ICM may not transfer chiplets"),
+            (("transfer", "chiplet", "ch", "cd", "icm", (F,), (1.0,), "STD"),
+             NotOwner, f"'cd' does not own device '{F}'"),
+            (("transfer", "chiplet", "ch", "cm", "icm", (E,), (1.0,), "STD"),
+             Conflict, f"device '{E}' is already in transit"),
+            (("transfer", "chiplet", "ch", "cm", "cd", (F, F), (1.0, 1.0), "STD"),
+             CountMismatch, "declared 2 units, got 1 ids and 2 prices"),
+            (("transfer", "chiplet", "ch", "cm", "cd", (F,), (1.0,), "EUR"),
+             UnknownCurrency, "no exchange rate for currency 'EUR'"),
+            (("confirm", "icm", "ch", (E,)),
+             PermissionDenied, "'icm' is not the destination of this transfer"),
+            (("confirm", "cd", "ch", (A,)), NotFound, "no matching pending transfer for these ids"),
+            (("confirm", "cd", "ch", (E, E)), CountMismatch, "declared 2 units, got 1 ids"),
+            (("reject", "icm", "ch", (E,)),
+             PermissionDenied, "'icm' is not the destination of this transfer"),
+            (("devices", "cd", "ch", (G,)), PermissionDenied, "'cd' is not the registrant of 'ch'"),
+            (("devices", "cm", "ch", (A,)), AlreadyExists, f"device '{A}' already registered"),
+            (("consume", "cd", (A,), IC),
+             PermissionDenied, "only IC manufacturers consume chiplets"),
+            (("consume", "icm", (A,), IC), NotOwner, f"'icm' does not own chiplet '{A}'"),
+            (("consume", "icm", (C,), IC), Conflict, f"chiplet '{C}' is defective"),
+            (("report", "cd", (A,), 0), PermissionDenied, "role CD may not report chiplets"),
+            (("report", "icm", (F,), 0), NotOwner, f"'icm' does not own device '{F}'"),
+            (("report", "icm", (B,), 0), Conflict, f"device '{B}' is verified_ok, not reportable"),
+            (("report", "icm", (), 0), InvalidArgument, "no device ids supplied"),
+            (("report", "icm", (D, IC), 0), InvalidArgument, "a report must cover one part kind"),
+            (("adjudicate", "icm", "R000003", (D,), ()),
+             PermissionDenied, "'icm' is not a trusted authority"),
+            (("adjudicate", "tb", "R000003", (D,), ()),
+             PermissionDenied, "adjudicating TA must sit on the reporter's chain"),
+            (("adjudicate", "ta", "R000001", (B,), ()),
+             InvalidState, "only failed reports are adjudicated"),
+            (("adjudicate", "ta", "R000002", (C,), ()),
+             Conflict, "report 'R000002' already adjudicated"),
+            (("adjudicate", "ta", "R000003", (B,), ()),
+             InvalidArgument, "defective ids must be a subset of the report's ids"),
+        ],
+        ids=[
+            "transfer_role", "transfer_owner", "transfer_status", "transfer_count",
+            "transfer_currency", "confirm_role", "confirm_status", "confirm_count", "reject_role",
+            "devices_role", "devices_status", "consume_role", "consume_owner", "consume_status",
+            "report_role", "report_owner", "report_status", "report_count", "report_kinds",
+            "adjudicate_role", "adjudicate_chain", "adjudicate_status", "adjudicate_twice",
+            "adjudicate_count",
+        ],
+    )
+    def test_error_type_and_message(self, rec, error, message):
+        ledger = Ledger()
+        for setup in PRECONDITION_WORLD:
+            ledger.apply_record(setup)
+        state = ledger.state_json()
+        with pytest.raises(ChipchainError) as exc:
+            ledger.apply_record(rec)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+        assert ledger.log_length() == len(PRECONDITION_WORLD)
+        assert ledger.state_json() == state
+
+    def test_the_world_applies(self):
+        ledger = Ledger()
+        for rec in PRECONDITION_WORLD:
+            ledger.apply_record(rec)
+        assert list(ledger.log_records()) == PRECONDITION_WORLD
+
+
+class TestRecordIdentity:
+    """A canonical transfer record is logged as itself; any other as its canonical form."""
+
+    def test_replay_logs_the_applied_transfer_records(self, tmp_path):
+        cfg = SimConfig(n_transactions=300, rng_seed=3)
+        stream = list(generate_stream(build_topology(cfg), cfg))
+        path = tmp_path / "log.ndjson"
+        replay(stream).ledger.save_log(path)
+        for records in (stream, load_log_records(path)):
+            logged = replay(records).ledger.log_records()
+            assert len(logged) == len(records)
+            transfers = [(a, b) for a, b in zip(records, logged) if a[0] == "transfer"]
+            assert len(transfers) == 300
+            assert all(applied is kept for applied, kept in transfers)
+
+    @pytest.mark.parametrize(
+        "rec, logged",
+        [
+            (sale(ids=["a" * 64]), sale()),
+            (sale(ids=("b" * 64, "a" * 64), amounts=(1.0, 2.0)),
+             sale(ids=("a" * 64, "b" * 64), amounts=(1.0, 2.0))),
+            (sale(kind=PartKind.CHIPLET), sale()),
+            (sale(amounts=[5.0]), sale(amounts=[5.0])),
+            (list(sale()), sale()),
+        ],
+        ids=["list_ids", "unsorted_ids", "enum_kind", "list_amounts", "list_record"],
+    )
+    def test_other_records_log_their_canonical_form(self, rec, logged):
+        # As before the transfer body took the record: amounts are logged as given.
+        ledger = Ledger()
+        for setup in SALE_SETUP:
+            ledger.apply_record(setup)
+        ledger.apply_record(rec)
+        got = ledger.log_records()[-1]
+        assert got == logged
+        assert [type(field) for field in got] == [type(field) for field in logged]
+
+    def test_duplicate_ids_still_mismatch_the_count(self):
+        ledger = Ledger()
+        for setup in SALE_SETUP:
+            ledger.apply_record(setup)
+        with pytest.raises(CountMismatch, match="declared 2 units, got 1 ids and 1 prices"):
+            ledger.apply_record(sale(ids=("a" * 64, "a" * 64)))
+        assert ledger.log_length() == len(SALE_SETUP)
+
+    def test_public_transfers_log_canonical_records(self):
+        ledger = Ledger()
+        for setup in SALE_SETUP:
+            ledger.apply_record(setup)
+        ledger.transfer_chiplets("cm", "t", 2, ["b" * 64, "a" * 64], [Money(1), Money(2.5)], "cd")
+        got = ledger.log_records()[-1]
+        assert got == sale(ids=("a" * 64, "b" * 64), amounts=(1, 2.5))
+        assert type(got[1]) is str and type(got[5]) is tuple and type(got[6]) is tuple
 
 
 class TestMetaIdentity:

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from chipchain.domain import Entity, Role
-from chipchain.errors import InvalidArgument
+from chipchain.domain import Entity, ExchangeTable, Role
+from chipchain.errors import InvalidArgument, UnknownCurrency
 from chipchain.reputation import (
     ObserverView,
     ReputationEngine,
@@ -155,6 +155,16 @@ class TestRewards:
         engine = self.engine()
         engine.lifecycle_passed([(META_ID, "cd3", 12.0, "STD")])
         assert engine.reputation(META_ID).r == 12.0
+
+    def test_converts_with_the_exchange_table(self):
+        engine = self.engine()
+        engine.exchange = ExchangeTable({"EUR": 2.0})
+        engine.lifecycle_passed([("cm1", "cd1", 10.0, "EUR"), ("cd1", "cd3", 3.0, "STD")])
+        assert engine.reputation("cm1").r == 20.0
+        assert engine.reputation("cd1").r == 3.0
+        with pytest.raises(UnknownCurrency, match="no exchange rate for currency 'JPY'"):
+            engine.lifecycle_passed([("cm1", "cd1", 1.0, "JPY")])
+        assert engine.reputation("cm1").r == 20.0
 
     def test_reward_linearity(self):
         one = self.engine()

@@ -400,6 +400,31 @@ class TestCornerCaseStreams:
                 routes = [rec[5] for rec in transfers]
                 assert all(routes.count(ids) <= 2 for ids in routes)
 
+    def test_lone_role_route_goes_straight_to_its_verifier(self, monkeypatch):
+        # The only distributor in the world is picked again at every hop left
+        # once it holds the part, and each of those picks draws nothing, so
+        # the route skips them: picks follow the budget, not hop_range.
+        calls = []
+        pick = simulator._PartnerPools.pick
+
+        def counted(*args):
+            calls.append(args[2])
+            assert len(calls) <= 100, "a route walked the picks of a one-member role"
+            return pick(*args)
+
+        monkeypatch.setattr(simulator._PartnerPools, "pick", counted)
+        cfg = dataclasses.replace(
+            ONE_PER_ROLE, hop_range=(10**6, 10**6), markup_pct=0.0, n_transactions=6
+        )
+        ops = [rec[0] for rec in generate_stream(build_topology(cfg), cfg)]
+        # Two chiplets and the IC built from them, each route maker,
+        # distributor, verifier: three picks per route, one of them skipped.
+        assert ops.count("transfer") == 6
+        assert ops.count("devices") == 3
+        chiplet = [Role.CHIPLET_DISTRIBUTOR, Role.CHIPLET_DISTRIBUTOR, Role.IC_MANUFACTURER]
+        ic = [Role.IC_DISTRIBUTOR, Role.IC_DISTRIBUTOR, Role.SYSTEM_INTEGRATOR]
+        assert calls == chiplet * 2 + ic
+
     def test_streams_match_recorded_digest(self):
         digest = hashlib.sha256()
         for _, stream in corner_case_streams():
