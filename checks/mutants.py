@@ -326,6 +326,35 @@ MUTANTS = [
         "only a failed report is adjudicated",
         ((LEDGER, "        if result != 1:\n", "        if False:\n"),),
     ),
+    Mutant(
+        "transfer_untransferable_unchecked",
+        "a consumed or defective part is not transferable",
+        ((LEDGER,
+          '                raise Conflict(f"device {hid!r} is {part.status.value}, not transferable")\n',
+          "                pass\n"),),
+    ),
+    Mutant(
+        "list_amounts_aliased",
+        "a transfer logs its own tuple of amounts, never the caller's list",
+        ((LEDGER, "                   tuple(amounts), currency)\n",
+          "                   amounts, currency)\n"),),
+    ),
+    Mutant(
+        "collector_left_paused",
+        "an entry point restores the collector setting it found",
+        ((HARNESS, "        if was_enabled:\n            gc.enable()\n", "        pass\n"),),
+    ),
+    Mutant(
+        "collector_never_paused",
+        "the entry points run their work with the collector paused",
+        ((HARNESS, "    gc.disable()\n", "    pass\n"),),
+    ),
+    Mutant(
+        "engine_back_reference",
+        "the program builds no reference cycles",
+        ((LEDGER, "        self.engine = engine\n        return engine\n",
+          "        self.engine = engine\n        engine.ledger = self\n        return engine\n"),),
+    ),
 ]
 
 

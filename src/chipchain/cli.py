@@ -33,6 +33,7 @@ from .harness import (
     DEFAULT_STRIDE,
     ORACLE_TOLERANCE,
     EndToEndResult,
+    collector_paused,
     oracle_max_deviation,
     run_attack,
     run_basic,
@@ -296,7 +297,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with collector_paused():
+            return args.func(args)
     except (ChipchainError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

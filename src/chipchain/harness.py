@@ -29,12 +29,14 @@ parameters and seed, a header row, then fixed-point values with six decimals.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import gc
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -304,6 +306,25 @@ def run_attack(
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def collector_paused() -> Iterator[None]:
+    """Run the block with the cyclic garbage collector paused.
+
+    The program builds no reference cycles, so reference counting frees all
+    it makes and a collection pass over a large world finds nothing. The
+    setting is process-wide, so only the entry points pause it (``cli.main``
+    and ``run_end_to_end``), never the library. The collector is re-enabled
+    only if it was on before, so pauses nest and an error restores it too.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 @dataclass
 class AggregateSeries:
     """Mean and 95th-percentile reputation per (consortium, role) over time."""
@@ -371,7 +392,8 @@ def run_end_to_end(
         per_chain = {chain: UNTRUSTED_DEFECT_PROB for chain, trusted in cfg.chains if not trusted}
         behaviors = assign_behaviors(topology, per_chain=per_chain)
     engine = ReputationEngine(topology.view, params)
-    result = replay(generate_stream(topology, cfg, behaviors), engine, sample_stride=stride)
+    with collector_paused():
+        result = replay(generate_stream(topology, cfg, behaviors), engine, sample_stride=stride)
     aggregate = aggregate_by_consortium(result, topology)
     out = EndToEndResult(topology, result, aggregate, engine)
     if out_dir is not None:

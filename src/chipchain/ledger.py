@@ -10,10 +10,13 @@ the recovery mechanism.
 
 Each operation has one validating body, and ``apply_record`` hands every log
 record to the body of its op. A transfer's body takes the record itself and
-logs that very tuple when it is canonical (a tuple with a ``str`` kind and a
-sorted ``tuple`` of ids without duplicates), so a log that is replayed shares
-its records with the ledger it builds; other input is logged as an equal
-canonical record.
+logs that very tuple when it is canonical (a tuple with a ``str`` kind, a
+sorted ``tuple`` of ids without duplicates and a ``tuple`` of amounts), so a
+log that is replayed shares its records with the ledger it builds; other input
+is logged as an equal canonical record.
+
+Nothing here builds a reference cycle (an engine never holds its ledger), so
+reference counting frees it all and the entry points pause the cyclic collector.
 
 Device transfers are two-phase: the seller initiates, parts are locked in
 transit, and ownership moves only when the named destination confirms. A
@@ -315,9 +318,11 @@ class Ledger:
     def _transfer(self, rec: tuple) -> None:
         """Initiate the transfer of a ``transfer`` record: amounts per unit, in its currency.
 
-        A canonical record is logged and held as pending itself; any other is
-        logged as the canonical record equal to it. An amount that is not
-        valid, or a kind that names no part kind, raises ``InvalidArgument``.
+        A canonical record (a tuple with a ``str`` kind and tuples of ids and
+        amounts) is logged and held as pending itself; any other is logged as
+        the canonical record equal to it, so a caller's list never reaches the
+        log. An amount that is not valid, or a kind that names no part kind,
+        raises ``InvalidArgument``.
         """
         _, kind_value, part_type, caller, dest, ids, amounts, currency = rec
         for amount in amounts:
@@ -356,9 +361,10 @@ class Ledger:
                 if part.status is _IN_TRANSIT:
                     raise Conflict(f"device {hid!r} is already in transit")
                 raise Conflict(f"device {hid!r} is {part.status.value}, not transferable")
-        if id_tuple is not ids or type(kind_value) is not str or type(rec) is not tuple:
-            rec = ("transfer", _KIND_VALUES[kind], part_type, caller, dest, id_tuple, amounts,
-                   currency)
+        if (id_tuple is not ids or type(amounts) is not tuple or type(kind_value) is not str
+                or type(rec) is not tuple):
+            rec = ("transfer", _KIND_VALUES[kind], part_type, caller, dest, id_tuple,
+                   tuple(amounts), currency)
         self._log.append(rec)
         self._pending[id_tuple] = rec
         for hid in id_tuple:

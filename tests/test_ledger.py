@@ -942,6 +942,20 @@ class TestPreconditions:
         assert ledger.log_length() == len(PRECONDITION_WORLD)
         assert ledger.state_json() == state
 
+    @pytest.mark.parametrize("status", [PartStatus.CONSUMED, PartStatus.DEFECTIVE])
+    def test_a_spent_part_is_not_transferable(self, status):
+        # No op leaves a part that its holder may ship consumed or defective,
+        # so the state is set directly: the check stands behind the role check.
+        ledger = Ledger()
+        for setup in PRECONDITION_WORLD:
+            ledger.apply_record(setup)
+        ledger.parts[A].status = status
+        with pytest.raises(Conflict) as exc:
+            ledger.apply_record(("transfer", "chiplet", "ch", "cd", "icm", (A,), (1.0,), "STD"))
+        assert str(exc.value) == f"device '{A}' is {status.value}, not transferable"
+        assert ledger.log_length() == len(PRECONDITION_WORLD)
+        assert ledger.parts[A].status is status
+
     def test_the_world_applies(self):
         ledger = Ledger()
         for rec in PRECONDITION_WORLD:
@@ -971,13 +985,12 @@ class TestRecordIdentity:
             (sale(ids=("b" * 64, "a" * 64), amounts=(1.0, 2.0)),
              sale(ids=("a" * 64, "b" * 64), amounts=(1.0, 2.0))),
             (sale(kind=PartKind.CHIPLET), sale()),
-            (sale(amounts=[5.0]), sale(amounts=[5.0])),
+            (sale(amounts=[5.0]), sale(amounts=(5.0,))),
             (list(sale()), sale()),
         ],
         ids=["list_ids", "unsorted_ids", "enum_kind", "list_amounts", "list_record"],
     )
     def test_other_records_log_their_canonical_form(self, rec, logged):
-        # As before the transfer body took the record: amounts are logged as given.
         ledger = Ledger()
         for setup in SALE_SETUP:
             ledger.apply_record(setup)
@@ -985,6 +998,20 @@ class TestRecordIdentity:
         got = ledger.log_records()[-1]
         assert got == logged
         assert [type(field) for field in got] == [type(field) for field in logged]
+
+    def test_a_callers_amounts_list_never_reaches_the_log(self):
+        ledger = Ledger()
+        for setup in SALE_SETUP:
+            ledger.apply_record(setup)
+        amounts = [5.0]
+        ledger.apply_record(sale(amounts=amounts))
+        lines = list(ledger.log_lines())
+        amounts[0] = -1.0
+        amounts.append(math.nan)
+        assert list(ledger.log_lines()) == lines
+        ledger.apply_record(("confirm", "cd", "t", ("a" * 64,)))
+        assert ledger.provenance("a" * 64) == [("cm", "cd", 5.0)]
+        assert list(ledger.log_lines())[:-1] == lines
 
     def test_duplicate_ids_still_mismatch_the_count(self):
         ledger = Ledger()
