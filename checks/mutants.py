@@ -145,14 +145,30 @@ MUTANTS = [
     Mutant(
         "sleeper_switch_off_by_one",
         "a sleeper sells at the benign level before switch_at and the malicious one from it",
-        ((HARNESS, "np.concatenate((benign[:switch_at], malicious[switch_at:]))",
-          "np.concatenate((benign[:switch_at + 1], malicious[switch_at + 1:]))"),),
+        ((HARNESS, "(benign[benign <= switch_at], malicious[malicious > switch_at])",
+          "(benign[benign <= switch_at + 1], malicious[malicious > switch_at + 1])"),),
     ),
     Mutant(
         "fold_defect_after_sample",
         "a defect at a sampled transaction divides r before that sample is taken",
-        ((HARNESS, "while di < n_defects and defects[di] <= t:",
-          "while di < n_defects and defects[di] < t:"),),
+        ((HARNESS, 'np.searchsorted(samples, defects, side="left")',
+          'np.searchsorted(samples, defects, side="right")'),
+         (HARNESS, 'np.searchsorted(defects, samples, side="right")',
+          'np.searchsorted(defects, samples, side="left")')),
+    ),
+    Mutant(
+        "sample_gap_ignores_defects",
+        "a sample's gap runs from the event before it, a defect included",
+        ((HARNESS, "samples - np.maximum(sample_at[:-1], defect_at[defects_upto])",
+          "samples - sample_at[:-1]"),),
+    ),
+    Mutant(
+        "threshold_below_max",
+        "the shared threshold pass keeps every defect of the largest probability",
+        ((HARNESS, "np.flatnonzero(u < max(defect_probs))",
+          "np.flatnonzero(u < min(defect_probs))"),
+         (HARNESS, "np.flatnonzero(u < max(benign_p, *malicious_ps))",
+          "np.flatnonzero(u < min(benign_p, *malicious_ps))")),
     ),
     Mutant(
         "stride_unchecked",
@@ -185,6 +201,11 @@ MUTANTS = [
         "curve_labels_unchecked",
         "two distinct curve rates or probabilities never share a label",
         ((HARNESS, "        if first != value:\n", "        if False:\n"),),
+    ),
+    Mutant(
+        "signed_zero_probability_unchecked",
+        "a curve probability of -0.0, which prints as -0 but keys as 0, is refused",
+        ((HARNESS, "        if math.copysign(1.0, p) < 0.0:\n", "        if False:\n"),),
     ),
     Mutant(
         "cut_route_reported",

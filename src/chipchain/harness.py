@@ -5,17 +5,21 @@ Three experiment families are covered:
   basic       one manufacturer sells one unit-price part per transaction with
               immediate verification, swept over decrease rates and defect
               probabilities. Every cell of a seed thresholds the same uniform
-              stream, drawn once. The recurrence is folded in closed form
-              between defect events (reputation grows linearly while nothing
-              fails), which keeps million-transaction curves in the
-              millisecond range; tests cross-check the fold against the same
-              scenario driven through the full ledger.
+              stream, drawn once: one pass keeps the positions below the
+              largest probability, and each cell's defect positions are the
+              subset of those below its own. The recurrence is folded in
+              closed form from those positions (reputation grows linearly
+              while nothing fails), which keeps million-transaction curves in
+              the millisecond range; tests cross-check the fold against the
+              same scenario driven through the full ledger.
   end_to_end  full pipeline: build a population, generate a stream, replay it
               against a ledger with a reputation engine attached, and
               aggregate reputation by consortium and role.
   attack      benign, malicious, and sleeper behaviors for a single seller,
-              sharing one underlying uniform draw per seed so a sleeper's
-              trajectory is exactly the benign one until its switch point.
+              sharing one underlying uniform draw and one threshold pass per
+              seed. A sleeper's defects are the benign positions up to its
+              switch point followed by the malicious positions after it, so
+              its trajectory is exactly the benign one until the switch.
 
 The oracle recomputes every entity's (r, r_ideal) from scratch by walking a
 serialized operation log and re-deriving each completed lifecycle's path and
@@ -118,34 +122,40 @@ def _sample_positions(n: int, stride: int) -> np.ndarray:
 
 
 def fold_single_seller(
-    mask: np.ndarray, decrease_rate: float, stride: int = DEFAULT_STRIDE
+    defects: np.ndarray, n: int, decrease_rate: float, stride: int = DEFAULT_STRIDE
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sampled (txn_index, r, normalized) for one seller, folded in closed form.
 
-    Per transaction the seller either gains 1 (pass) or has r divided by the
+    ``defects`` holds the 1-based positions of the seller's failed
+    transactions: an int64 array, sorted, unique and at most ``n``. Per
+    transaction the seller either gains 1 (pass) or has r divided by the
     rate-form divisor 1 + decrease_rate (fail); the ideal reputation is the
-    transaction index.
-    Between failures r grows linearly, so only failure and sample positions
-    need visiting.
+    transaction index. Between failures r grows linearly, so only failure and
+    sample positions need visiting, and a defect on a sample position is
+    folded before that sample is taken. Each event's gap to the event before
+    it is found in numpy; the loop adds the gaps as Python ints to a Python
+    float r, in the per-transaction rule's order, so every sampled r is the
+    same double the rule gives.
     """
-    n = len(mask)
-    divisor = 1.0 + decrease_rate
-    defects = (np.flatnonzero(mask) + 1).tolist()  # 1-based transaction positions
     samples = _sample_positions(n, stride)
+    # The event before a defect is the later of the previous defect and the
+    # last sample below it; the one before a sample is the later of the
+    # previous sample and the last defect at or below it; 0 stands for none.
+    sample_at = np.concatenate(([0], samples))
+    defect_at = np.concatenate(([0], defects))
+    samples_below = np.searchsorted(samples, defects, side="left")
+    defects_upto = np.searchsorted(defects, samples, side="right")
+    defect_gaps = (defects - 1 - np.maximum(defect_at[:-1], sample_at[samples_below])).tolist()
+    sample_gaps = samples - np.maximum(sample_at[:-1], defect_at[defects_upto])
+    divisor = 1.0 + decrease_rate
     out = []
     r = 0.0
-    last = 0
     di = 0
-    n_defects = len(defects)
-    for t in samples.tolist():
-        while di < n_defects and defects[di] <= t:
-            d = defects[di]
-            r += d - 1 - last
-            r /= divisor
-            last = d
+    for upto, gap in zip(defects_upto.tolist(), sample_gaps.tolist()):
+        while di < upto:
+            r = (r + defect_gaps[di]) / divisor
             di += 1
-        r += t - last
-        last = t
+        r += gap
         out.append(r)
     r_samples = np.array(out, dtype=np.float64)
     return samples, r_samples, r_samples / samples
@@ -211,6 +221,10 @@ def _check_curve_inputs(
     for p in probs:
         if not 0.0 <= p <= 1.0:  # also false for NaN
             raise InvalidConfig(f"defect probability must be in [0, 1], got {p!r}")
+        if math.copysign(1.0, p) < 0.0:
+            # -0.0 equals 0.0 as a curve key but prints as -0 in labels and
+            # CSV names, so one of the two curves would silently go missing.
+            raise InvalidConfig(f"defect probability must be 0, not {p!r}")
 
 
 def _check_distinct_labels(name: str, values: Sequence[float]) -> None:
@@ -241,10 +255,14 @@ def run_basic(
     _check_distinct_labels("decrease rates", m_values)
     _check_distinct_labels("defect probabilities", defect_probs)
     u = uniform_draws(n_txn, seed)
+    # Every cell's defects are a subset of those below the largest threshold.
+    below = np.flatnonzero(u < max(defect_probs))
+    u_below = u[below]
+    defects = {p: below[u_below < p] + 1 for p in defect_probs}
     curves = {}
     for m in m_values:
         for p in defect_probs:
-            idx, r, norm = fold_single_seller(u < p, m, stride)
+            idx, r, norm = fold_single_seller(defects[p], n_txn, m, stride)
             meta = {"m": m, "defect_prob": p, "seed": seed, "n": n_txn}
             series = Series(f"m={m:g} p={p:g}", idx, r, norm, meta)
             curves[(m, p)] = series
@@ -277,15 +295,19 @@ def run_attack(
         raise InvalidConfig("at least one malicious level is required")
     _check_distinct_labels("defect probabilities", malicious_ps)
     u = uniform_draws(n_txn, seed)
-    benign = u < benign_p
-    masks: dict[str, np.ndarray] = {"benign": benign}
+    below = np.flatnonzero(u < max(benign_p, *malicious_ps))
+    u_below = u[below]
+    benign = below[u_below < benign_p] + 1
+    behaviors: dict[str, np.ndarray] = {"benign": benign}
     for p in malicious_ps:
-        malicious = u < p
-        masks[f"malicious-{p:g}"] = malicious
-        masks[f"sleeper-{p:g}"] = np.concatenate((benign[:switch_at], malicious[switch_at:]))
+        malicious = below[u_below < p] + 1
+        behaviors[f"malicious-{p:g}"] = malicious
+        behaviors[f"sleeper-{p:g}"] = np.concatenate(
+            (benign[benign <= switch_at], malicious[malicious > switch_at])
+        )
     curves = {}
-    for label, mask in masks.items():
-        idx, r, norm = fold_single_seller(mask, decrease_rate, stride)
+    for label, defects in behaviors.items():
+        idx, r, norm = fold_single_seller(defects, n_txn, decrease_rate, stride)
         meta = {
             "behavior": label,
             "benign_p": benign_p,

@@ -127,12 +127,18 @@ class TestCurveInputs:
              "decrease rates 0.01 and 0.0100000001 share the label 0.01"),
             ("attack", ["--malicious-p", "0.0015", "--malicious-p", "0.00150000001"],
              "defect probabilities 0.0015 and 0.00150000001 share the label 0.0015"),
+            ("basic", ["--defect-prob", "0.5", "--defect-prob", "0", "--defect-prob", "-0"],
+             "defect probability must be 0, not -0.0"),
+            ("attack", ["--malicious-p", "0", "--malicious-p", "-0"],
+             "defect probability must be 0, not -0.0"),
+            ("attack", ["--benign-p", "-0"], "defect probability must be 0, not -0.0"),
         ],
         ids=[
             "basic_nan_p", "basic_p_above_1", "basic_negative_p", "attack_nan_benign_p",
             "attack_malicious_p_above_1", "attack_negative_malicious_p", "attack_switch_at_n",
             "attack_negative_switch", "basic_colliding_p_labels", "basic_colliding_m_labels",
-            "attack_colliding_p_labels",
+            "attack_colliding_p_labels", "basic_signed_zero_p", "attack_signed_zero_malicious_p",
+            "attack_signed_zero_benign_p",
         ],
     )
     def test_probabilities_and_switch(self, capsys, command, flags, message):

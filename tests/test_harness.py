@@ -1,10 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chipchain.domain import STANDARD_TABLE
 from chipchain.errors import InvalidConfig
 from chipchain.harness import (
     ATTACK_DECREASE_RATE,
+    BASIC_DEFECT_PROBS,
+    BASIC_M_VALUES,
+    _sample_positions,
     defect_mask,
     export_csv,
     fold_single_seller,
@@ -21,6 +28,7 @@ from chipchain.harness import (
 )
 from chipchain.reputation import ObserverView, ReputationEngine, ReputationParams
 from chipchain.simulator import SimConfig, build_topology, generate_stream, replay
+from references import mask_fold_single_seller
 
 E2E_SMALL = SimConfig(
     chiplet_mfrs=6,
@@ -37,13 +45,15 @@ E2E_SMALL = SimConfig(
 class TestSingleSellerFold:
     def test_fold_matches_naive_loop(self):
         mask = defect_mask(10_000, 0.01, seed=3)
-        idx, r, _ = fold_single_seller(mask, 0.01, stride=137)
+        idx, r, _ = fold_single_seller(np.flatnonzero(mask) + 1, len(mask), 0.01, stride=137)
         reference = naive_single_seller(mask, 0.01)
         assert np.allclose(r, reference[idx - 1], rtol=1e-12)
 
     def test_fold_matches_full_ledger(self):
         mask = defect_mask(2_000, 0.02, seed=9)
-        idx_a, r_a, norm_a = fold_single_seller(mask, 0.05, stride=250)
+        idx_a, r_a, norm_a = fold_single_seller(
+            np.flatnonzero(mask) + 1, len(mask), 0.05, stride=250
+        )
         idx_b, r_b, norm_b, _ = ledger_single_seller(mask, 0.05, stride=250)
         assert np.array_equal(idx_a, idx_b)
         assert np.allclose(r_a, r_b, rtol=1e-12)
@@ -51,7 +61,7 @@ class TestSingleSellerFold:
 
     def test_final_sample_always_present(self):
         mask = defect_mask(1_050, 0.0, seed=0)
-        idx, _, _ = fold_single_seller(mask, 0.01, stride=500)
+        idx, _, _ = fold_single_seller(np.flatnonzero(mask) + 1, len(mask), 0.01, stride=500)
         assert list(idx) == [500, 1000, 1050]
 
     @staticmethod
@@ -81,21 +91,87 @@ class TestSingleSellerFold:
     )
     def test_edge_masks_match_naive_loop(self, n, defects, stride):
         mask = self.mask_with(n, defects)
-        idx, r, norm = fold_single_seller(mask, 0.25, stride)
+        idx, r, norm = fold_single_seller(np.flatnonzero(mask) + 1, len(mask), 0.25, stride)
         reference = naive_single_seller(mask, 0.25)
         assert idx[-1] == n
         assert np.allclose(r, reference[idx - 1], rtol=1e-12, atol=0.0)
         assert np.allclose(norm, reference[idx - 1] / idx, rtol=1e-12, atol=0.0)
 
     def test_all_defects_keep_r_at_zero_and_none_keep_it_at_n(self):
-        assert np.all(fold_single_seller(np.ones(50, dtype=bool), 0.1, 10)[1] == 0.0)
-        idx, r, norm = fold_single_seller(np.zeros(50, dtype=bool), 0.1, 10)
+        all_defects = np.flatnonzero(np.ones(50, dtype=bool)) + 1
+        assert np.all(fold_single_seller(all_defects, 50, 0.1, 10)[1] == 0.0)
+        idx, r, norm = fold_single_seller(np.flatnonzero(np.zeros(50, dtype=bool)) + 1, 50, 0.1, 10)
         assert np.array_equal(r, idx.astype(np.float64))
         assert np.all(norm == 1.0)
 
     def test_stride_beyond_n_samples_only_the_end(self):
-        idx, _, _ = fold_single_seller(self.mask_with(30, [5]), 0.1, stride=1_000)
+        idx, _, _ = fold_single_seller(
+            np.flatnonzero(self.mask_with(30, [5])) + 1, 30, 0.1, stride=1_000
+        )
         assert list(idx) == [30]
+
+
+@st.composite
+def fold_cases(draw):
+    """(n, stride, decrease rate, defect mask) with the fold's edge cases likely."""
+    n = draw(st.integers(1, 2_000))
+    stride = draw(st.integers(1, n + 10))
+    m = draw(st.sampled_from([1e-9, 0.01, 0.25, 3.0]))
+    mask = np.zeros(n, dtype=bool)
+    shape = draw(st.sampled_from(["none", "all", "sparse", "dense"]))
+    if shape == "all":
+        mask[:] = True
+    elif shape == "sparse":
+        mask[[d - 1 for d in draw(st.sets(st.integers(1, n), max_size=40))]] = True
+    elif shape == "dense":
+        seed = draw(st.integers(0, 2**32 - 1))
+        mask = np.random.default_rng(seed).random(n) < draw(st.floats(0.0, 1.0))
+    if shape != "none":
+        mask[0] |= draw(st.booleans())
+        mask[-1] |= draw(st.booleans())
+        if draw(st.booleans()):
+            mask[_sample_positions(n, stride) - 1] = True
+    return n, stride, m, mask
+
+
+class TestPositionFold:
+    """The position fold gives the mask fold's doubles, bit for bit."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(fold_cases())
+    def test_matches_the_mask_fold(self, case):
+        n, stride, m, mask = case
+        got = fold_single_seller(np.flatnonzero(mask) + 1, n, m, stride)
+        want = mask_fold_single_seller(mask, m, stride)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+
+def assert_same_series(a, b):
+    assert np.array_equal(a.txn_index, b.txn_index)
+    assert np.array_equal(a.r, b.r)
+    assert np.array_equal(a.normalized, b.normalized)
+
+
+class TestSharedThresholdPass:
+    """A curve folded from the shared pass equals the curve run on its own."""
+
+    def test_basic_grid_cells_equal_lone_cells(self):
+        ms, ps = [0.25, 0.001], [0.3, 0.0, 1.0, 0.05]
+        grid = run_basic(ms, ps, 3_000, seed=5, stride=7)
+        for m in ms:
+            for p in ps:
+                assert_same_series(grid[(m, p)], run_basic([m], [p], 3_000, 5, stride=7)[(m, p)])
+
+    @pytest.mark.parametrize("switch_at", [0, 1, 1_500, 2_999])
+    def test_attack_curves_equal_lone_levels(self, switch_at):
+        benign_p, levels = 0.1, [0.3, 0.02]  # one above the benign level, one below
+        both = run_attack(benign_p, levels, switch_at, 3_000, seed=4, stride=7)
+        for p in levels:
+            lone = run_attack(benign_p, [p], switch_at, 3_000, seed=4, stride=7)
+            for label in ("benign", f"malicious-{p:g}", f"sleeper-{p:g}"):
+                assert_same_series(both[label], lone[label])
 
 
 class TestRunBasic:
@@ -136,7 +212,9 @@ class TestRunAttack:
         curves = run_attack(benign_p, [p], switch_at, n, seed, stride=1)
         u = uniform_draws(n, seed)
         mask = u < np.where(np.arange(n) < switch_at, benign_p, p)
-        idx, r, norm = fold_single_seller(mask, ATTACK_DECREASE_RATE, stride=1)
+        idx, r, norm = fold_single_seller(
+            np.flatnonzero(mask) + 1, len(mask), ATTACK_DECREASE_RATE, stride=1
+        )
         sleeper = curves[f"sleeper-{p:g}"]
         assert np.array_equal(sleeper.txn_index, idx)
         assert np.array_equal(sleeper.r, r)
@@ -163,6 +241,40 @@ class TestRunAttack:
             "attack_malicious-0.002_seed0.csv",
             "attack_sleeper-0.002_seed0.csv",
         ]
+
+
+def curve_digest_runs():
+    """Every curve the recorded digest covers, each run's curves in sorted order."""
+    n = 200_000
+    for seed in range(3):
+        yield run_basic(BASIC_M_VALUES, BASIC_DEFECT_PROBS, n, seed)
+        for switch_at in (0, 1, n // 2, n - 1):
+            yield run_attack(0.001, [0.0015, 0.002], switch_at, n, seed)
+    # The shapes of the golden CLI curve runs, and stride 1 at a small n.
+    yield run_basic([0.001, 0.01], [0.002, 0.05], 5_003, seed=7, stride=250)
+    yield run_attack(0.002, [0.01, 0.05], 2_000, 5_003, seed=3, stride=250, decrease_rate=0.05)
+    yield run_basic([0.001, 0.01, 0.25], [1.0, 0.0, 0.3, 0.05], 300, seed=1, stride=1)
+    yield run_attack(0.05, [0.3, 0.01], 150, 300, seed=2, stride=1)
+
+
+class TestCurveDigest:
+    """The sampled doubles of the single-seller curves, pinned bit for bit.
+
+    The CSVs print six decimals, so the golden CSV digests cannot see a change
+    in the last bits of ``r``; this digest hashes the arrays themselves.
+    """
+
+    #: Recorded while the fold still walked a length-n defect mask.
+    DIGEST = "1dc3a39eeac07cf0a986d97c4ef2e79be90cdea2d6338f65ba70a5ba29f5b2cf"
+
+    def test_curves_match_recorded_digest(self):
+        digest = hashlib.sha256()
+        for curves in curve_digest_runs():
+            for key in sorted(curves):
+                series = curves[key]
+                for array in (series.txn_index, series.r, series.normalized):
+                    digest.update(array.tobytes())
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestRunEndToEnd:
