@@ -165,10 +165,45 @@ MUTANTS = [
     Mutant(
         "threshold_below_max",
         "the shared threshold pass keeps every defect of the largest probability",
-        ((HARNESS, "np.flatnonzero(u < max(defect_probs))",
-          "np.flatnonzero(u < min(defect_probs))"),
-         (HARNESS, "np.flatnonzero(u < max(benign_p, *malicious_ps))",
-          "np.flatnonzero(u < min(benign_p, *malicious_ps))")),
+        ((HARNESS, "uniform_draws(n_txn, seed, max(defect_probs))",
+          "uniform_draws(n_txn, seed, min(defect_probs))"),
+         (HARNESS, "uniform_draws(n_txn, seed, max(benign_p, *malicious_ps))",
+          "uniform_draws(n_txn, seed, min(benign_p, *malicious_ps))")),
+    ),
+    Mutant(
+        "draw_block_offset_dropped",
+        "a block's threshold positions are shifted by the block's start in the stream",
+        ((HARNESS, "positions.append(below + start)", "positions.append(below)"),),
+    ),
+    Mutant(
+        "draw_block_unbounded",
+        "a threshold pass holds one fixed-size block of draws, never the whole stream",
+        ((HARNESS,
+          "    block = np.empty(min(n, _BLOCK))\n",
+          "    block = np.empty(n)\n"),
+         (HARNESS,
+          "    for start in range(0, n, _BLOCK):\n",
+          "    for start in range(0, n, max(n, 1)):\n"),),
+    ),
+    Mutant(
+        "conversion_by_division",
+        "a sale amount is converted to the standard currency by multiplying by its rate (shared)",
+        ((ENGINE, "value = amount * (rates.get(currency) or self.exchange.rate(currency))",
+          "value = amount / (rates.get(currency) or self.exchange.rate(currency))"),
+         (ENGINE, "self._get(seller).r_ideal += amount * rate(currency)",
+          "self._get(seller).r_ideal += amount / rate(currency)"),
+         (ORACLE, "                        credit(seller, amount * rates[currency])\n",
+          "                        credit(seller, amount / rates[currency])\n"),
+         (ORACLE, "credit(seller, amount * rates[currency], ideal_only=True)",
+          "credit(seller, amount / rates[currency], ideal_only=True)")),
+    ),
+    Mutant(
+        "discount_from_own_chain",
+        "a seller's penalty rate is discounted by the upstream seller's chain, not its own (shared)",
+        ((ENGINE, "upstream_seller = entities[path[k - 1][0]]",
+          "upstream_seller = entities[path[k][0]]"),
+         (ORACLE, "prev_role, prev_chain = entity_info[pen[k - 1][0]]",
+          "prev_role, prev_chain = entity_info[pen[k][0]]")),
     ),
     Mutant(
         "stride_unchecked",

@@ -5,19 +5,21 @@ Three experiment families are covered:
   basic       one manufacturer sells one unit-price part per transaction with
               immediate verification, swept over decrease rates and defect
               probabilities. Every cell of a seed thresholds the same uniform
-              stream, drawn once: one pass keeps the positions below the
-              largest probability, and each cell's defect positions are the
-              subset of those below its own. The recurrence is folded in
-              closed form from those positions (reputation grows linearly
-              while nothing fails), which keeps million-transaction curves in
-              the millisecond range; tests cross-check the fold against the
-              same scenario driven through the full ledger.
+              stream: one pass draws it in fixed blocks and keeps only the
+              positions and values below the largest probability, and each
+              cell's defect positions are the subset of those below its own.
+              So a curve holds memory in proportion to its defects and
+              samples, never to the transaction count. The recurrence is
+              folded in closed form from those positions (reputation grows
+              linearly while nothing fails), which keeps million-transaction
+              curves in the millisecond range; tests cross-check the fold
+              against the same scenario driven through the full ledger.
   end_to_end  full pipeline: build a population, generate a stream, replay it
               against a ledger with a reputation engine attached, and
               aggregate reputation by consortium and role.
   attack      benign, malicious, and sleeper behaviors for a single seller,
-              sharing one underlying uniform draw and one threshold pass per
-              seed. A sleeper's defects are the benign positions up to its
+              sharing one uniform stream and one block-wise threshold pass
+              per seed. A sleeper's defects are the benign positions up to its
               switch point followed by the malicious positions after it, so
               its trajectory is exactly the benign one until the switch.
 
@@ -105,13 +107,37 @@ class Series:
         return float(self.normalized[-1])
 
 
-def uniform_draws(n: int, seed: int) -> np.ndarray:
-    """The shared uniform stream behind every behavior at one seed."""
-    return np.random.Generator(np.random.PCG64(seed)).random(n)
+#: Doubles ``uniform_draws`` takes from the generator at a time.
+_BLOCK = 1 << 16
+
+
+def uniform_draws(n: int, seed: int, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """The draws below ``level`` among the first ``n`` of a seed's uniform stream.
+
+    The stream is ``Generator(PCG64(seed)).random(n)``, the one stream behind
+    every behavior at a seed. It is drawn ``_BLOCK`` doubles at a time, and
+    each double takes one 64-bit word, so the blocks join into exactly that
+    stream. Returns the 0-based positions (int64, ascending) and the values
+    (float64) of the draws below ``level``. Every block is drawn into one
+    reused buffer, so the pass holds one block of draws however large n is.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    block = np.empty(min(n, _BLOCK))
+    positions = [np.empty(0, dtype=np.int64)]
+    values = [np.empty(0, dtype=np.float64)]
+    for start in range(0, n, _BLOCK):
+        u = rng.random(out=block[: n - start])
+        below = np.flatnonzero(u < level)
+        positions.append(below + start)
+        values.append(u[below])
+    return np.concatenate(positions), np.concatenate(values)
 
 
 def defect_mask(n: int, p: float, seed: int) -> np.ndarray:
-    return uniform_draws(n, seed) < p
+    """The length-``n`` mask of a seed's draws below ``p``: ``random(n) < p``."""
+    mask = np.zeros(n, dtype=bool)
+    mask[uniform_draws(n, seed, p)[0]] = True
+    return mask
 
 
 def _sample_positions(n: int, stride: int) -> np.ndarray:
@@ -248,21 +274,23 @@ def run_basic(
     out_dir: str | Path | None = None,
     stride: int = DEFAULT_STRIDE,
 ) -> dict[tuple[float, float], Series]:
-    """Sweep the (decrease rate, defect prob) grid over one uniform draw; CSVs if out_dir."""
+    """Sweep the (decrease rate, defect prob) grid over one uniform draw; CSVs if out_dir.
+
+    An exactly repeated rate or probability names one curve, folded and
+    written once.
+    """
     if not m_values or not defect_probs:
         raise InvalidConfig("basic sweep needs a non-empty grid")
     _check_curve_inputs(n_txn, seed, stride, m_values, defect_probs)
     _check_distinct_labels("decrease rates", m_values)
     _check_distinct_labels("defect probabilities", defect_probs)
-    u = uniform_draws(n_txn, seed)
     # Every cell's defects are a subset of those below the largest threshold.
-    below = np.flatnonzero(u < max(defect_probs))
-    u_below = u[below]
-    defects = {p: below[u_below < p] + 1 for p in defect_probs}
+    below, u_below = uniform_draws(n_txn, seed, max(defect_probs))
+    defects = {p: below[u_below < p] + 1 for p in dict.fromkeys(defect_probs)}
     curves = {}
-    for m in m_values:
-        for p in defect_probs:
-            idx, r, norm = fold_single_seller(defects[p], n_txn, m, stride)
+    for m in dict.fromkeys(m_values):
+        for p, cell in defects.items():
+            idx, r, norm = fold_single_seller(cell, n_txn, m, stride)
             meta = {"m": m, "defect_prob": p, "seed": seed, "n": n_txn}
             series = Series(f"m={m:g} p={p:g}", idx, r, norm, meta)
             curves[(m, p)] = series
@@ -294,9 +322,7 @@ def run_attack(
     if not malicious_ps:
         raise InvalidConfig("at least one malicious level is required")
     _check_distinct_labels("defect probabilities", malicious_ps)
-    u = uniform_draws(n_txn, seed)
-    below = np.flatnonzero(u < max(benign_p, *malicious_ps))
-    u_below = u[below]
+    below, u_below = uniform_draws(n_txn, seed, max(benign_p, *malicious_ps))
     benign = below[u_below < benign_p] + 1
     behaviors: dict[str, np.ndarray] = {"benign": benign}
     for p in malicious_ps:

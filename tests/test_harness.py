@@ -1,16 +1,19 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chipchain import harness
 from chipchain.domain import STANDARD_TABLE
 from chipchain.errors import InvalidConfig
 from chipchain.harness import (
     ATTACK_DECREASE_RATE,
     BASIC_DEFECT_PROBS,
     BASIC_M_VALUES,
+    _BLOCK,
     _sample_positions,
     defect_mask,
     export_csv,
@@ -40,6 +43,41 @@ E2E_SMALL = SimConfig(
     n_transactions=2_000,
     rng_seed=5,
 )
+
+
+class TestUniformDraws:
+    """The block-wise threshold pass gives exactly the one-shot stream's draws."""
+
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    @pytest.mark.parametrize("level", [0.0, 5e-324, 0.01, 0.5, 1.0])
+    def test_blocks_join_into_one_stream(self, n, level):
+        seed = 21
+        u = np.random.Generator(np.random.PCG64(seed)).random(n)
+        want = np.flatnonzero(u < level)
+        positions, values = uniform_draws(n, seed, level)
+        assert positions.dtype == want.dtype
+        assert values.dtype == u.dtype
+        assert np.array_equal(positions, want)
+        assert np.array_equal(values, u[want])
+        assert np.array_equal(defect_mask(n, level, seed), u < level)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda n: run_basic(BASIC_M_VALUES, BASIC_DEFECT_PROBS, n, seed=0),
+            lambda n: run_attack(0.001, [0.0015, 0.002], n // 2, n, seed=0),
+        ],
+        ids=["basic", "attack"],
+    )
+    def test_curve_memory_follows_defects_not_n(self, run):
+        # One float64 per transaction would be 30.5 MiB at this n.
+        tracemalloc.start()
+        try:
+            run(4_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestSingleSellerFold:
@@ -186,6 +224,25 @@ class TestRunBasic:
         files = sorted(p.name for p in tmp_path.glob("*.csv"))
         assert files == ["basic_m0.01_p0.5_seed1.csv", "basic_m0.01_p0_seed1.csv"]
 
+    def test_repeated_grid_values_fold_and_write_once(self, tmp_path, monkeypatch):
+        folds, writes = [], []
+
+        def fold(*args):
+            folds.append(args)
+            return fold_single_seller(*args)
+
+        def write(path, series):
+            writes.append(path.name)
+            return write_series_csv(path, series)
+
+        monkeypatch.setattr(harness, "fold_single_seller", fold)
+        monkeypatch.setattr(harness, "write_series_csv", write)
+        curves = run_basic([0.01, 0.01], [0.5, 0.5], 1_000, 0, out_dir=tmp_path)
+        assert (len(folds), writes) == (1, ["basic_m0.01_p0.5_seed0.csv"])
+        lone = run_basic([0.01], [0.5], 1_000, 0)
+        assert list(curves) == list(lone) == [(0.01, 0.5)]
+        assert_same_series(curves[(0.01, 0.5)], lone[(0.01, 0.5)])
+
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidConfig):
             run_basic([], [0.1], 10, seed=0)
@@ -210,7 +267,7 @@ class TestRunAttack:
         # malicious level from it on, as one per-position threshold gives.
         n, seed = 60, 11
         curves = run_attack(benign_p, [p], switch_at, n, seed, stride=1)
-        u = uniform_draws(n, seed)
+        u = np.random.Generator(np.random.PCG64(seed)).random(n)
         mask = u < np.where(np.arange(n) < switch_at, benign_p, p)
         idx, r, norm = fold_single_seller(
             np.flatnonzero(mask) + 1, len(mask), ATTACK_DECREASE_RATE, stride=1
