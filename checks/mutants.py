@@ -267,13 +267,18 @@ MUTANTS = [
     ),
     Mutant(
         "dispatch_captures_functions",
-        "replay reaches each op's method by name, so a method replaced on the class"
+        "replay calls each op's method on the ledger, so a method replaced on the class"
         " sees its records",
-        ((LEDGER, "        return getattr(self, name)(rec)\n",
-          "        return _CAPTURED[name](self, rec)\n"),
-         (LEDGER, '    "adjudicate": "_apply_adjudicate",\n}\n',
-          '    "adjudicate": "_apply_adjudicate",\n}\n'
-          "_CAPTURED = {name: getattr(Ledger, name) for name in _APPLY.values()}\n")),
+        ((LEDGER, "                self.confirm_transfer(rec[1], rec[2], len(rec[3]), rec[3])\n",
+          "                _CONFIRM(self, rec[1], rec[2], len(rec[3]), rec[3])\n"),
+         (LEDGER, "\n\ndef _sorted_ids(",
+          "\n_CONFIRM = Ledger.confirm_transfer\n\n\ndef _sorted_ids(")),
+    ),
+    Mutant(
+        "encoder_fields_reordered",
+        "a confirm or reject line writes its fields in the documented order",
+        ((LEDGER, """                f'{{"op":"{op}","caller":{_q(caller)},"type":{_q(part_type)},'\n""",
+          """                f'{{"op":"{op}","type":{_q(part_type)},"caller":{_q(caller)},'\n"""),),
     ),
     # One mutant per precondition of each ledger op: role, owner, status,
     # count, currency and trusted-authority chain.

@@ -46,16 +46,11 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .domain import Entity, EntityId, ExchangeTable, Money, Role
+from .domain import EntityId, ExchangeTable, Role
 from .errors import InvalidConfig
 from .files import atomic_write
-from .ledger import Ledger, PenaltyTrace
-from .reputation import (
-    ObserverView,
-    ReputationEngine,
-    ReputationParams,
-    normalized_score,
-)
+from .ledger import PenaltyTrace
+from .reputation import ObserverView, ReputationEngine, ReputationParams
 from .simulator import (
     BehaviorProfile,
     ReplayResult,
@@ -199,39 +194,6 @@ def naive_single_seller(mask: np.ndarray, decrease_rate: float) -> np.ndarray:
             r += 1.0
         out[t] = r
     return out
-
-
-def ledger_single_seller(
-    mask: np.ndarray, decrease_rate: float, stride: int = DEFAULT_STRIDE
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, Ledger]:
-    """Drive the basic scenario through the full ledger; slow, the fold's reference."""
-    ledger = Ledger()
-    ledger.add_chain("main")
-    ledger.add_entity(Entity("maker", Role.CHIPLET_MANUFACTURER, "main"))
-    ledger.add_entity(Entity("checker", Role.IC_MANUFACTURER, "main"))
-    ledger.add_entity(Entity("ta@main", Role.TRUSTED_AUTHORITY, "main"))
-    ledger.register_chiplet_type("maker", "part")
-    view = ObserverView("main", frozenset({"main"}))
-    engine = ledger.attach(ReputationEngine(view, ReputationParams(decrease_rate=decrease_rate)))
-    samples = _sample_positions(len(mask), stride)
-    out_r = np.empty(len(samples))
-    out_norm = np.empty(len(samples))
-    price = [Money(1.0)]
-    si = 0
-    for t, bad in enumerate(mask, start=1):
-        hid = f"{t:064x}"
-        ledger.register_devices("maker", "part", [hid])
-        ledger.transfer_chiplets("maker", "part", 1, [hid], price, "checker")
-        ledger.confirm_transfer("checker", "part", 1, [hid])
-        rid = ledger.report("checker", [hid], int(bad))
-        if bad:
-            ledger.adjudicate("ta@main", rid, [hid])
-        if si < len(samples) and samples[si] == t:
-            rep = engine.reputation("maker")
-            out_r[si] = rep.r
-            out_norm[si] = normalized_score(rep)
-            si += 1
-    return samples, out_r, out_norm, ledger
 
 
 def _check_curve_inputs(
@@ -472,13 +434,8 @@ def oracle_recompute(
     the incremental engine beyond the parameter set.
     """
     entity_info: dict[str, tuple[str, str]] = {}  # id -> (role, chain)
-    type_kind: dict[str, str] = {}
-    part_type_of: dict[str, str] = {}
     paths: dict[str, list[tuple[str, str, float, str]]] = {}
-    consumed_into: dict[str, str] = {}
     pending: dict[frozenset, tuple] = {}
-    reports: dict[str, tuple[str, tuple, int]] = {}
-    n_reports = 0
     rep_r: dict[str, float] = {}
     rep_ideal: dict[str, float] = {}
     rates = exchange.rates
@@ -493,11 +450,8 @@ def oracle_recompute(
         op = rec[0]
         if op == "entity":
             entity_info[rec[1]] = (rec[2], rec[3])
-        elif op == "type":
-            type_kind[rec[1]] = rec[2]
         elif op == "devices":
             for hid in rec[3]:
-                part_type_of[hid] = rec[2]
                 paths[hid] = []
         elif op == "transfer":
             _, _kind, _ptype, src, dst, ids, amounts, currency = rec
@@ -517,19 +471,13 @@ def oracle_recompute(
                     paths[hid].append((src, dst, amount, currency))
         elif op == "reject":
             pending.pop(frozenset(rec[3]))
-        elif op == "consume":
-            for hid in rec[2]:
-                consumed_into[hid] = rec[3]
         elif op == "report":
-            n_reports += 1
-            rid = f"R{n_reports:06d}"
-            reports[rid] = (rec[1], rec[2], rec[3])
             if rec[3] == 0:
                 for hid in rec[2]:
                     for seller, _buyer, amount, currency in paths[hid]:
                         credit(seller, amount * rates[currency])
         elif op == "adjudicate":
-            _, _ta, rid, defective, origin_pairs = rec
+            _, _ta, _rid, defective, origin_pairs = rec
             origins = dict(origin_pairs)
             for hid in defective:
                 own = paths[hid]

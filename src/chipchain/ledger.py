@@ -8,12 +8,13 @@ comparing canonical JSON serializations). The log persists as newline-delimited
 JSON, one operation per line with fixed field order; replay from that file is
 the recovery mechanism.
 
-Each operation has one validating body, and ``apply_record`` hands every log
-record to the body of its op. A transfer's body takes the record itself and
-logs that very tuple when it is canonical (a tuple with a ``str`` kind, a
-sorted ``tuple`` of ids without duplicates and a ``tuple`` of amounts), so a
-log that is replayed shares its records with the ledger it builds; other input
-is logged as an equal canonical record.
+Each operation has one validating body. ``apply_record`` hands every log
+record to the body of its op through one ``match`` on the op, and
+``_encode_record`` writes every record's line through another. A transfer's
+body takes the record itself and logs that very tuple when it is canonical (a
+tuple with a ``str`` kind, a sorted ``tuple`` of ids without duplicates and a
+``tuple`` of amounts), so a log that is replayed shares its records with the
+ledger it builds; other input is logged as an equal canonical record.
 
 Nothing here builds a reference cycle (an engine never holds its ledger), so
 reference counting frees it all and the entry points pause the cyclic collector.
@@ -702,62 +703,36 @@ class Ledger:
     def apply_record(self, rec: tuple) -> AdjudicationResult | None:
         """Apply one log record through the validating body of its op.
 
-        Returns the ``AdjudicationResult`` of an adjudicate record, else None.
-        A field that names no role or part kind, or holds no valid amount,
-        raises ``InvalidArgument``.
+        Each case calls its op's method on ``self``, so a method replaced on
+        the class (a tracer's wrapper) sees every record of its op. The cases
+        run from the most frequent op to the least. Returns the
+        ``AdjudicationResult`` of an adjudicate record, else None. An unknown
+        op, a field that names no role or part kind, or one that holds no
+        valid amount raises ``InvalidArgument``.
         """
-        try:
-            name = _APPLY[rec[0]]
-        except (KeyError, TypeError):
-            raise InvalidArgument(f"unknown log operation {rec[0]!r}") from None
-        return getattr(self, name)(rec)
-
-    # The record form of each op that has no method taking its record. Each
-    # calls the op's method by name on ``self``, so a method replaced on the
-    # class (a tracer's wrapper) sees every record of its op.
-
-    def _apply_chain(self, rec: tuple) -> None:
-        self.add_chain(rec[1])
-
-    def _apply_entity(self, rec: tuple) -> None:
-        self.add_entity(Entity(rec[1], _field(Role, rec[2]), rec[3]))
-
-    def _apply_type(self, rec: tuple) -> None:
-        self._register_type(rec[3], rec[1], _part_kind(rec[2]))
-
-    def _apply_devices(self, rec: tuple) -> None:
-        self.register_devices(rec[1], rec[2], rec[3])
-
-    def _apply_confirm(self, rec: tuple) -> None:
-        self.confirm_transfer(rec[1], rec[2], len(rec[3]), rec[3])
-
-    def _apply_reject(self, rec: tuple) -> None:
-        self.reject_transfer(rec[1], rec[2], rec[3])
-
-    def _apply_consume(self, rec: tuple) -> None:
-        self.consume_chiplets(rec[1], rec[2], rec[3])
-
-    def _apply_report(self, rec: tuple) -> None:
-        self.report(rec[1], rec[2], rec[3])
-
-    def _apply_adjudicate(self, rec: tuple) -> AdjudicationResult:
-        return self.adjudicate(rec[1], rec[2], rec[3], dict(rec[4]))
-
-
-#: The name of the ledger method that applies each op's record. Names, not
-#: functions, are looked up on the ledger at call time.
-_APPLY: Mapping[str, str] = {
-    "chain": "_apply_chain",
-    "entity": "_apply_entity",
-    "type": "_apply_type",
-    "devices": "_apply_devices",
-    "transfer": "_transfer",
-    "confirm": "_apply_confirm",
-    "reject": "_apply_reject",
-    "consume": "_apply_consume",
-    "report": "_apply_report",
-    "adjudicate": "_apply_adjudicate",
-}
+        match rec[0]:
+            case "transfer":
+                self._transfer(rec)
+            case "confirm":
+                self.confirm_transfer(rec[1], rec[2], len(rec[3]), rec[3])
+            case "devices":
+                self.register_devices(rec[1], rec[2], rec[3])
+            case "report":
+                self.report(rec[1], rec[2], rec[3])
+            case "consume":
+                self.consume_chiplets(rec[1], rec[2], rec[3])
+            case "adjudicate":
+                return self.adjudicate(rec[1], rec[2], rec[3], dict(rec[4]))
+            case "reject":
+                self.reject_transfer(rec[1], rec[2], rec[3])
+            case "entity":
+                self.add_entity(Entity(rec[1], _field(Role, rec[2]), rec[3]))
+            case "type":
+                self._register_type(rec[3], rec[1], _part_kind(rec[2]))
+            case "chain":
+                self.add_chain(rec[1])
+            case op:
+                raise InvalidArgument(f"unknown log operation {op!r}")
 
 
 def _sorted_ids(ids: Iterable[HashedDeviceId]) -> tuple[HashedDeviceId, ...]:
@@ -817,14 +792,14 @@ def _part_kind(value) -> PartKind:
 
 # -- log line encoding ----------------------------------------------------------
 #
-# Each operation has its own line template, with fields in the order that the
-# README's log format gives and ``_obj_to_record`` reads. Strings go through
-# ``encode_basestring_ascii`` and numbers through ``repr``, exactly as
-# ``json.dumps(obj, separators=(",", ":"))`` would write them. Every field the
-# ledger accepts is a ``str``, an amount that ``is_amount`` accepts (a built-in
-# ``int`` or finite ``float``, whose ``repr`` is ``int.__repr__`` or
-# ``float.__repr__``) or a result of 0 or 1, so every record in the log can be
-# written.
+# ``_encode_record`` writes each operation's line from its own f-string, with
+# fields in the order that the README's log format gives and ``_obj_to_record``
+# reads. Strings go through ``encode_basestring_ascii`` and numbers through
+# ``repr``, exactly as ``json.dumps(obj, separators=(",", ":"))`` would write
+# them. Every field the ledger accepts is a ``str``, an amount that
+# ``is_amount`` accepts (a built-in ``int`` or finite ``float``, whose ``repr``
+# is ``int.__repr__`` or ``float.__repr__``) or a result of 0 or 1, so every
+# record in the log can be written.
 
 
 def _ids(ids: Sequence[str]) -> str:
@@ -835,76 +810,55 @@ def _numbers(amounts: Sequence[float]) -> str:
     return repr(amounts[0]) if len(amounts) == 1 else ",".join(map(repr, amounts))
 
 
-def _chain_line(rec: tuple) -> str:
-    return f'{{"op":"chain","id":{_q(rec[1])}}}'
-
-
-def _entity_line(rec: tuple) -> str:
-    _, eid, role, chain = rec
-    return f'{{"op":"entity","id":{_q(eid)},"role":{_q(role)},"chain":{_q(chain)}}}'
-
-
-def _type_line(rec: tuple) -> str:
-    _, name, kind, maker = rec
-    return f'{{"op":"type","name":{_q(name)},"kind":{_q(kind)},"maker":{_q(maker)}}}'
-
-
-def _devices_line(rec: tuple) -> str:
-    _, maker, part_type, ids = rec
-    return f'{{"op":"devices","maker":{_q(maker)},"type":{_q(part_type)},"ids":[{_ids(ids)}]}}'
-
-
-def _transfer_line(rec: tuple) -> str:
-    _, kind, part_type, src, dst, ids, amounts, currency = rec
-    return (
-        f'{{"op":"transfer","kind":{_q(kind)},"type":{_q(part_type)},"src":{_q(src)},'
-        f'"dst":{_q(dst)},"ids":[{_ids(ids)}],"amounts":[{_numbers(amounts)}],'
-        f'"currency":{_q(currency)}}}'
-    )
-
-
-def _confirm_line(rec: tuple) -> str:
-    op, caller, part_type, ids = rec
-    return f'{{"op":"{op}","caller":{_q(caller)},"type":{_q(part_type)},"ids":[{_ids(ids)}]}}'
-
-
-def _consume_line(rec: tuple) -> str:
-    _, caller, chiplets, ic = rec
-    return f'{{"op":"consume","caller":{_q(caller)},"chiplets":[{_ids(chiplets)}],"ic":{_q(ic)}}}'
-
-
-def _report_line(rec: tuple) -> str:
-    _, reporter, ids, result = rec
-    return f'{{"op":"report","reporter":{_q(reporter)},"ids":[{_ids(ids)}],"result":{result!r}}}'
-
-
-def _adjudicate_line(rec: tuple) -> str:
-    _, ta, report_id, defective, origins = rec
-    pairs = ",".join(f"{_q(ic)}:{_q(chip)}" for ic, chip in origins)
-    return (
-        f'{{"op":"adjudicate","ta":{_q(ta)},"report":{_q(report_id)},'
-        f'"defective":[{_ids(defective)}],"origins":{{{pairs}}}}}'
-    )
-
-
-#: The line template of each operation; ``reject`` shares the confirm layout.
-_LINE = {
-    "chain": _chain_line,
-    "entity": _entity_line,
-    "type": _type_line,
-    "devices": _devices_line,
-    "transfer": _transfer_line,
-    "confirm": _confirm_line,
-    "reject": _confirm_line,
-    "consume": _consume_line,
-    "report": _report_line,
-    "adjudicate": _adjudicate_line,
-}
-
-
 def _encode_record(rec: tuple) -> str:
     """The JSON line of one log record."""
-    return _LINE[rec[0]](rec)
+    match rec[0]:
+        case "transfer":
+            _, kind, part_type, src, dst, ids, amounts, currency = rec
+            return (
+                f'{{"op":"transfer","kind":{_q(kind)},"type":{_q(part_type)},"src":{_q(src)},'
+                f'"dst":{_q(dst)},"ids":[{_ids(ids)}],"amounts":[{_numbers(amounts)}],'
+                f'"currency":{_q(currency)}}}'
+            )
+        case "confirm" | "reject":
+            op, caller, part_type, ids = rec
+            return (
+                f'{{"op":"{op}","caller":{_q(caller)},"type":{_q(part_type)},'
+                f'"ids":[{_ids(ids)}]}}'
+            )
+        case "devices":
+            _, maker, part_type, ids = rec
+            return (
+                f'{{"op":"devices","maker":{_q(maker)},"type":{_q(part_type)},'
+                f'"ids":[{_ids(ids)}]}}'
+            )
+        case "report":
+            _, reporter, ids, result = rec
+            return (
+                f'{{"op":"report","reporter":{_q(reporter)},"ids":[{_ids(ids)}],'
+                f'"result":{result!r}}}'
+            )
+        case "consume":
+            _, caller, chiplets, ic = rec
+            return (
+                f'{{"op":"consume","caller":{_q(caller)},"chiplets":[{_ids(chiplets)}],'
+                f'"ic":{_q(ic)}}}'
+            )
+        case "adjudicate":
+            _, ta, report_id, defective, origins = rec
+            pairs = ",".join(f"{_q(ic)}:{_q(chip)}" for ic, chip in origins)
+            return (
+                f'{{"op":"adjudicate","ta":{_q(ta)},"report":{_q(report_id)},'
+                f'"defective":[{_ids(defective)}],"origins":{{{pairs}}}}}'
+            )
+        case "entity":
+            _, eid, role, chain = rec
+            return f'{{"op":"entity","id":{_q(eid)},"role":{_q(role)},"chain":{_q(chain)}}}'
+        case "type":
+            _, name, kind, maker = rec
+            return f'{{"op":"type","name":{_q(name)},"kind":{_q(kind)},"maker":{_q(maker)}}}'
+        case "chain":
+            return f'{{"op":"chain","id":{_q(rec[1])}}}'
 
 
 def _obj_to_record(obj: dict) -> tuple:

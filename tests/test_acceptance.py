@@ -17,7 +17,6 @@ from chipchain.domain import Entity, ExchangeTable, Money, Role, hash_device_id
 from chipchain.errors import ChipchainError, PermissionDenied
 from chipchain.harness import (
     ORACLE_TOLERANCE,
-    ledger_single_seller,
     oracle_max_deviation,
     run_attack,
     run_basic,
@@ -32,6 +31,7 @@ from chipchain.reputation import (
     penalty_rates,
 )
 from chipchain.simulator import SimConfig, build_topology, generate_stream, replay
+from references import ledger_single_seller
 
 SEEDS = (0, 1, 2, 3, 4)
 N_TXN = 1_000_000

@@ -18,7 +18,6 @@ from chipchain.harness import (
     defect_mask,
     export_csv,
     fold_single_seller,
-    ledger_single_seller,
     naive_single_seller,
     oracle_max_deviation,
     oracle_recompute,
@@ -31,7 +30,7 @@ from chipchain.harness import (
 )
 from chipchain.reputation import ObserverView, ReputationEngine, ReputationParams
 from chipchain.simulator import SimConfig, build_topology, generate_stream, replay
-from references import mask_fold_single_seller
+from references import ledger_single_seller, mask_fold_single_seller
 
 E2E_SMALL = SimConfig(
     chiplet_mfrs=6,

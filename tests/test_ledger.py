@@ -22,7 +22,6 @@ from chipchain.ledger import (
     PartKind,
     PartStatus,
     _encode_record,
-    _LINE,
     load_log_records,
 )
 from chipchain.reputation import ObserverView, ReputationEngine, ReputationParams
@@ -722,7 +721,24 @@ class TestLogEncoding:
             assert line.isascii()
 
     def test_every_op_is_covered(self):
-        assert {rec[0] for rec in records_with("x", (1.0,))} == set(LOG_FIELDS) == set(_LINE)
+        lines = {}
+        for rec in records_with("x", (1.0,)):
+            lines.setdefault(rec[0], _encode_record(rec))
+        assert set(lines) == set(LOG_FIELDS)
+        assert lines == {
+            "chain": '{"op":"chain","id":"x"}',
+            "entity": '{"op":"entity","id":"x","role":"x","chain":"x"}',
+            "type": '{"op":"type","name":"x","kind":"x","maker":"x"}',
+            "devices": '{"op":"devices","maker":"x","type":"x","ids":["x","x2"]}',
+            "transfer": '{"op":"transfer","kind":"x","type":"x","src":"x","dst":"x",'
+            '"ids":["x","x2"],"amounts":[1.0],"currency":"x"}',
+            "confirm": '{"op":"confirm","caller":"x","type":"x","ids":["x","x2"]}',
+            "reject": '{"op":"reject","caller":"x","type":"x","ids":["x"]}',
+            "consume": '{"op":"consume","caller":"x","chiplets":["x","x2"],"ic":"x"}',
+            "report": '{"op":"report","reporter":"x","ids":["x","x2"],"result":0}',
+            "adjudicate": '{"op":"adjudicate","ta":"x","report":"x","defective":["x","x2"],'
+            '"origins":{"x":"xc","x2":"x"}}',
+        }
 
     def test_odd_names_round_trip_through_a_saved_log(self, tmp_path):
         from chipchain.domain import ExchangeTable
@@ -841,6 +857,20 @@ class TestMalformedTransferRecords:
         ledger.apply_record(rec)
         assert ledger.log_records()[-1] == rec
         assert transaction_rows(ledger)[-1]["amounts"] == [5, 0.1 + 0.2]
+
+
+class TestUnknownOperation:
+    @pytest.mark.parametrize("rec", [("teleport", "x"), (["chain"], "x")])
+    def test_is_refused_by_name(self, rec):
+        ledger = Ledger()
+        for setup in SALE_SETUP:
+            ledger.apply_record(setup)
+        state = ledger.state_json()
+        with pytest.raises(InvalidArgument) as exc:
+            ledger.apply_record(rec)
+        assert str(exc.value) == f"unknown log operation {rec[0]!r}"
+        assert ledger.log_length() == len(SALE_SETUP)
+        assert ledger.state_json() == state
 
 
 A, B, C, D, E, F, G, IC = (c * 64 for c in "abcdef01")
