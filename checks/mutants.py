@@ -416,6 +416,20 @@ MUTANTS = [
         ((LEDGER, "        self.engine = engine\n        return engine\n",
           "        self.engine = engine\n        engine.ledger = self\n        return engine\n"),),
     ),
+    Mutant(
+        "decode_memo_dropped",
+        "a decoded log holds each of its names and id tuples once",
+        ((LEDGER, "        self[value] = _checked(value)\n        return value\n",
+          "        return _checked(value)\n"),),
+    ),
+    Mutant(
+        "reward_plus_constant",
+        "a reward is the converted sale amount, so scores scale with amounts (shared)",
+        ((ENGINE, "value = amount * (rates.get(currency) or self.exchange.rate(currency))\n",
+          "value = amount * (rates.get(currency) or self.exchange.rate(currency)) + 1.0\n"),
+         (ORACLE, "                        credit(seller, amount * rates[currency])\n",
+          "                        credit(seller, amount * rates[currency] + 1.0)\n")),
+    ),
 ]
 
 

@@ -9,8 +9,9 @@ JSON, one operation per line with fixed field order; replay from that file is
 the recovery mechanism.
 
 Each operation has one validating body. ``apply_record`` hands every log
-record to the body of its op through one ``match`` on the op, and
-``_encode_record`` writes every record's line through another. A transfer's
+record to the body of its op through one ``match`` on the op,
+``_encode_record`` writes every record's line through another, and
+``_obj_to_record`` reads every decoded line through a third. A transfer's
 body takes the record itself and logs that very tuple when it is canonical (a
 tuple with a ``str`` kind, a sorted ``tuple`` of ids without duplicates and a
 ``tuple`` of amounts), so a log that is replayed shares its records with the
@@ -861,57 +862,89 @@ def _encode_record(rec: tuple) -> str:
             return f'{{"op":"chain","id":{_q(rec[1])}}}'
 
 
-def _obj_to_record(obj: dict) -> tuple:
-    """The record of one decoded log line; names must be strings, ids lists of strings."""
-    op = obj["op"]
-    if op == "chain":
-        return _strings(op, obj["id"])
-    if op == "entity":
-        return _strings(op, obj["id"], obj["role"], obj["chain"])
-    if op == "type":
-        return _strings(op, obj["name"], obj["kind"], obj["maker"])
-    if op == "devices":
-        return (*_strings(op, obj["maker"], obj["type"]), _id_list(obj, "ids"))
-    if op == "transfer":
-        return (
-            *_strings(op, obj["kind"], obj["type"], obj["src"], obj["dst"]),
-            _id_list(obj, "ids"),
-            tuple(obj["amounts"]),
-            *_strings(obj["currency"]),
-        )
-    if op in ("confirm", "reject"):
-        return (*_strings(op, obj["caller"], obj["type"]), _id_list(obj, "ids"))
-    if op == "consume":
-        return (*_strings(op, obj["caller"]), _id_list(obj, "chiplets"), *_strings(obj["ic"]))
-    if op == "report":
-        return (*_strings(op, obj["reporter"]), _id_list(obj, "ids"), obj["result"])
-    if op == "adjudicate":
-        origins = obj["origins"]
-        if type(origins) is not dict:
-            raise InvalidArgument(f"field 'origins' must be an object of strings, got {origins!r}")
-        _strings(*origins.values())
-        return (
-            *_strings(op, obj["ta"], obj["report"]),
-            _id_list(obj, "defective"),
-            tuple(sorted(origins.items())),
-        )
-    raise InvalidArgument(f"unknown log operation {op!r}")
+def _obj_to_record(obj: dict, share) -> tuple:
+    """The record of one decoded log line; names must be strings, ids lists of strings.
+
+    ``share(value)`` returns a name or an id tuple as the one object of its
+    value in the log, and refuses any other value. Every name field of a line
+    is read before any is checked, so a line that lacks a field says so first.
+    """
+    match obj["op"]:
+        case "transfer":
+            kind, part_type, src, dst = obj["kind"], obj["type"], obj["src"], obj["dst"]
+            return (
+                "transfer", share(kind), share(part_type), share(src), share(dst),
+                _id_tuple(obj, "ids", share), tuple(obj["amounts"]), share(obj["currency"]),
+            )
+        case "confirm" | "reject" as op:
+            caller, part_type = obj["caller"], obj["type"]
+            return (share(op), share(caller), share(part_type), _id_tuple(obj, "ids", share))
+        case "devices":
+            maker, part_type = obj["maker"], obj["type"]
+            return ("devices", share(maker), share(part_type), _id_tuple(obj, "ids", share))
+        case "report":
+            return ("report", share(obj["reporter"]), _id_tuple(obj, "ids", share), obj["result"])
+        case "consume":
+            return (
+                "consume", share(obj["caller"]), _id_tuple(obj, "chiplets", share), share(obj["ic"])
+            )
+        case "adjudicate":
+            origins = obj["origins"]
+            if type(origins) is not dict:
+                raise InvalidArgument(
+                    f"field 'origins' must be an object of strings, got {origins!r}"
+                )
+            pairs = sorted(zip(map(share, origins), map(share, origins.values())))
+            ta, report_id = obj["ta"], obj["report"]
+            return (
+                "adjudicate", share(ta), share(report_id), _id_tuple(obj, "defective", share),
+                tuple(pairs),
+            )
+        case "entity":
+            eid, role, chain = obj["id"], obj["role"], obj["chain"]
+            return ("entity", share(eid), share(role), share(chain))
+        case "type":
+            name, kind, maker = obj["name"], obj["kind"], obj["maker"]
+            return ("type", share(name), share(kind), share(maker))
+        case "chain":
+            return ("chain", share(obj["id"]))
+        case op:
+            raise InvalidArgument(f"unknown log operation {op!r}")
 
 
-def _strings(*values) -> tuple:
-    """``values``, unless one is not a ``str``, which raises ``InvalidArgument``."""
-    for value in values:
-        if type(value) is not str:
-            raise InvalidArgument(f"expected a string, got {value!r}")
-    return values
-
-
-def _id_list(obj: dict, key: str) -> tuple[str, ...]:
-    """The field ``key`` of ``obj``, a JSON list of strings, as a tuple."""
+def _id_tuple(obj: dict, key: str, share) -> tuple[str, ...]:
+    """The field ``key`` of ``obj``, a JSON list of strings, as a shared tuple."""
     value = obj[key]
     if type(value) is not list:
         raise InvalidArgument(f"field {key!r} must be a list of strings, got {value!r}")
-    return _strings(*value)
+    return share(tuple(map(share, value)))
+
+
+def _checked(value):
+    """``value`` if it is a ``str`` or a tuple of them; anything else is no string field.
+
+    A decoded JSON value is never a tuple: the only tuples here are id tuples
+    that ``_id_tuple`` built from strings that passed this check.
+    """
+    if type(value) is str or type(value) is tuple:
+        return value
+    raise InvalidArgument(f"expected a string, got {value!r}")
+
+
+class _Shared(dict):
+    """The names and id tuples of one log file, each stored under itself.
+
+    ``shared[value]`` is the first value equal to ``value`` that the file
+    decoded, so equal fields of different records are one object and a hit is
+    one C-level lookup. A miss checks the value with ``_checked``. A list or an
+    object is unhashable, so its lookup raises ``TypeError`` before that check.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, value):
+        self[value] = _checked(value)
+        return value
 
 
 def load_log_records(path) -> list[tuple]:
@@ -921,10 +954,15 @@ def load_log_records(path) -> list[tuple]:
     ``InvalidArgument`` naming ``path:line``. Each line goes straight to the
     scanner behind ``json.loads``; a line it does not take whole as one JSON
     value is handed to ``json.loads``, so the error it reports is unchanged.
+
+    Within one file, equal names and equal id tuples are one object: a hashed
+    id occurs in about nine records. The table that shares them belongs to
+    this call, so nothing is shared between files or kept after a failed load.
     """
     records = []
     obj = None
     scan = json.JSONDecoder().scan_once
+    share = _Shared().__getitem__
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -936,7 +974,13 @@ def load_log_records(path) -> list[tuple]:
                         end = None
                     if end != len(line):
                         obj = json.loads(line)
-                    records.append(_obj_to_record(obj))
+                    try:
+                        record = _obj_to_record(obj, share)
+                    except TypeError:
+                        # An unhashable field fails its lookup before its check:
+                        # decoding unshared reports the line as its first bad field.
+                        record = _obj_to_record(obj, _checked)
+                    records.append(record)
             except (ValueError, TypeError, KeyError, AttributeError, InvalidArgument) as exc:
                 raise InvalidArgument(f"{path}:{lineno}: {_line_error(obj, exc)}") from None
     return records

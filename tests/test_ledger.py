@@ -1,5 +1,8 @@
+import gc
 import json
 import math
+import sys
+import tracemalloc
 
 import pytest
 
@@ -16,7 +19,7 @@ from chipchain.errors import (
     PermissionDenied,
     UnknownCurrency,
 )
-from chipchain.harness import oracle_max_deviation
+from chipchain.harness import oracle_max_deviation, run_end_to_end
 from chipchain.ledger import (
     Ledger,
     PartKind,
@@ -25,7 +28,13 @@ from chipchain.ledger import (
     load_log_records,
 )
 from chipchain.reputation import ObserverView, ReputationEngine, ReputationParams
-from chipchain.simulator import SimConfig, build_topology, generate_stream, replay
+from chipchain.simulator import (
+    SimConfig,
+    assign_behaviors,
+    build_topology,
+    generate_stream,
+    replay,
+)
 
 
 def hid(label: str) -> str:
@@ -1122,6 +1131,19 @@ class TestLogDecoding:
              r"expected a string, got \['a'\]"),
             ('{"op":"adjudicate","ta":"t","report":"R1","defective":[],"origins":{"i":2}}',
              "expected a string, got 2"),
+            # Lists and objects are unhashable, so each of these fails a dict lookup
+            # before any type check runs; the message must still name the value.
+            ('{"op":"transfer","kind":["chiplet"],"type":"T","src":"a","dst":"b",'
+             '"ids":[],"amounts":[],"currency":"STD"}', r"expected a string, got \['chiplet'\]$"),
+            ('{"op":"confirm","caller":"a","type":"T","ids":["h",{"i":"h"}]}',
+             r"expected a string, got \{'i': 'h'\}$"),
+            ('{"op":"adjudicate","ta":"t","report":"R1","defective":[],"origins":{"i":["c"]}}',
+             r"expected a string, got \['c'\]$"),
+            ('{"op":"adjudicate","ta":5,"report":"R1","defective":[],"origins":{"i":[1]}}',
+             r"expected a string, got \[1\]$"),
+            # Every name field of a record is read before any is checked.
+            ('{"op":"transfer","kind":5,"type":"T","src":"a",'
+             '"ids":[],"amounts":[],"currency":"STD"}', "log record lacks field 'dst'$"),
             ("\ufeff" + VALID,
              r"invalid JSON: Unexpected UTF-8 BOM \(decode using utf-8-sig\) at column 1$"),
             (VALID + VALID, "invalid JSON: Extra data at column 25$"),
@@ -1141,6 +1163,94 @@ class TestLogDecoding:
         path = tmp_path / "ok.ndjson"
         path.write_text(f"{self.VALID}\n\n")
         assert load_log_records(path) == [("chain", "TB")]
+
+
+@pytest.fixture(scope="module")
+def audit_log(tmp_path_factory):
+    """The saved log of a seeded cross-chain world whose untrusted makers defect often."""
+    cfg = SimConfig(n_transactions=2_000, cross_chain_prob=0.5, rng_seed=0)
+    topology = build_topology(cfg)
+    untrusted = {chain: 0.1 for chain, trusted in cfg.chains if not trusted}
+    behaviors = assign_behaviors(topology, uniform_p=0.02, per_chain=untrusted)
+    path = tmp_path_factory.mktemp("audit") / "ledger.ndjson"
+    run_end_to_end(cfg, behaviors=behaviors).replay.ledger.save_log(path)
+    return path
+
+
+def traced_bytes() -> int:
+    return tracemalloc.get_traced_memory()[0]
+
+
+def hashed_id_strings() -> int:
+    """The number of traced blocks that are the size of a hashed id's string."""
+    size = sys.getsizeof(hash_device_id("x"))
+    return sum(1 for trace in tracemalloc.take_snapshot().traces if trace.size == size)
+
+
+def names_and_id_tuples(records):
+    """Every string field after the op, and every non-empty tuple of strings and its members."""
+    for rec in records:
+        for value in rec[1:]:
+            if type(value) is str:
+                yield value
+            elif type(value) is tuple and value and all(type(v) is str for v in value):
+                yield value
+                yield from value
+
+
+class TestDecodedSharing:
+    def test_decoded_records_take_at_most_half_again_the_ledger_they_build(self, audit_log):
+        # Unshared, every field of every line is its own object: 3.3 times the ledger.
+        load_log_records(audit_log)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = traced_bytes()
+            records = load_log_records(audit_log)
+            decoded = traced_bytes() - start
+            ledger = replay(records).ledger
+            retained = traced_bytes() - start - decoded
+        finally:
+            tracemalloc.stop()
+        assert ledger.log_length() == len(records)
+        assert decoded <= 1.5 * retained, f"decoded {decoded} B, replay retains {retained} B"
+
+    def test_sharing_is_limited_to_one_load(self, audit_log, tmp_path):
+        first = load_log_records(audit_log)
+        second = load_log_records(audit_log)
+        assert first == second
+        shared = {}
+        for value in names_and_id_tuples(first):
+            assert shared.setdefault(value, value) is value, value
+        assert sum(1 for _ in names_and_id_tuples(first)) > 3 * len(shared)
+        in_first = {id(value) for value in shared}
+        assert not any(id(value) in in_first for value in names_and_id_tuples(second))
+
+        bad = tmp_path / "bad.ndjson"
+        bad.write_bytes(audit_log.read_bytes() + b'{"op":"chain","id":7}\n')
+
+        def failed_load() -> str:
+            try:
+                load_log_records(bad)
+            except InvalidArgument as exc:
+                return str(exc)
+            return "loaded"
+
+        assert failed_load().endswith("expected a string, got 7")
+        del first, second, shared
+        # Counted by size, since the records of the failed load fill the tuple
+        # free lists, which keep their memory: a hashed id's string is 113 bytes.
+        tracemalloc.start()
+        try:
+            start = hashed_id_strings()
+            failed_load()
+            left = hashed_id_strings() - start
+            records = load_log_records(audit_log)
+            held = hashed_id_strings() - start - left
+        finally:
+            tracemalloc.stop()
+        assert len(records) > 5_000 and held > 500
+        assert left < held / 100, f"a failed load left {left} hashed ids; a load holds {held}"
 
 
 class TestOwnershipConservation:

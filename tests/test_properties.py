@@ -5,6 +5,10 @@ A seeded operation soup throws diverse valid call sequences at the ledger
 adjudications) by attempting random operations and skipping the ones that
 fail validation; failed calls must leave no trace, so the surviving log
 exercises replay determinism far beyond the happy path.
+
+A metamorphic relation checks how scores must change when a log changes in a
+known way, which the oracle cannot check when it shares a misreading with the
+engine: doubling every amount doubles every r and r_ideal exactly.
 """
 
 import random
@@ -14,14 +18,21 @@ import pytest
 from chipchain.domain import Entity, Money, Role, hash_device_id
 from chipchain.errors import ChipchainError
 from chipchain.harness import oracle_max_deviation, oracle_recompute
-from chipchain.ledger import Ledger, PartKind, PartStatus
+from chipchain.ledger import Ledger, PartKind, PartStatus, load_log_records
 from chipchain.reputation import (
+    EntityReputation,
     ObserverView,
     ReputationEngine,
     ReputationParams,
     normalized_score,
 )
-from chipchain.simulator import replay
+from chipchain.simulator import (
+    SimConfig,
+    assign_behaviors,
+    build_topology,
+    generate_stream,
+    replay,
+)
 
 CHAINS = ("TB", "UB-1", "UB-2")
 ROLE_POP = {
@@ -291,3 +302,42 @@ def test_oracle_equivalence_under_multiple_views():
         engine = ReputationEngine(view, params)
         replay(records, engine)
         assert oracle_max_deviation(engine, records) <= 1e-9
+
+
+def doubled(rec: tuple) -> tuple:
+    """``rec`` with every amount times 2."""
+    if rec[0] != "transfer":
+        return rec
+    return (*rec[:6], tuple(2 * amount for amount in rec[6]), rec[7])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_doubling_every_amount_doubles_every_score(seed, tmp_path):
+    # An audit-style world: many cross-chain hops, untrusted makers defecting often.
+    cfg = SimConfig(n_transactions=5_000, cross_chain_prob=0.5, rng_seed=seed)
+    topology = build_topology(cfg)
+    untrusted = {chain: 0.1 for chain, trusted in cfg.chains if not trusted}
+    behaviors = assign_behaviors(topology, uniform_p=0.02, per_chain=untrusted)
+    stream = list(generate_stream(topology, cfg, behaviors))
+    params = ReputationParams()
+    scores = []
+    for name, records in (("base", stream), ("doubled", list(map(doubled, stream)))):
+        path = tmp_path / f"{name}.ndjson"
+        replay(records).ledger.save_log(path)
+        records = load_log_records(path)
+        engine = ReputationEngine(topology.view, params)
+        replay(records, engine)
+        oracle = oracle_recompute(records, params, topology.view, engine.exchange)
+        reps = {eid: engine.reputation(eid) for eid in engine.known_entities()}
+        scores.append((reps, oracle))
+    (base, base_oracle), (twice, twice_oracle) = scores
+    assert base.keys() == twice.keys() == base_oracle.keys() == twice_oracle.keys()
+    assert any(0 < rep.r < rep.r_ideal for rep in base.values())
+    for eid, rep in base.items():
+        assert (twice[eid].r, twice[eid].r_ideal) == (2 * rep.r, 2 * rep.r_ideal), eid
+        assert normalized_score(twice[eid]) == normalized_score(rep), eid
+        (r, r_ideal), (r2, r_ideal2) = base_oracle[eid], twice_oracle[eid]
+        assert (r2, r_ideal2) == (2 * r, 2 * r_ideal), eid
+        assert normalized_score(EntityReputation(r2, r_ideal2)) == normalized_score(
+            EntityReputation(r, r_ideal)
+        ), eid
