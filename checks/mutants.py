@@ -430,6 +430,34 @@ MUTANTS = [
          (ORACLE, "                        credit(seller, amount * rates[currency])\n",
           "                        credit(seller, amount * rates[currency] + 1.0)\n")),
     ),
+    Mutant(
+        "amounts_not_permuted_with_ids",
+        "each amount of a multi-id transfer moves with its id when the ids are sorted",
+        ((LEDGER,
+          "            if id_tuple is not ids:\n"
+          "                # The ids are distinct, so sorting the pairs never compares amounts.\n"
+          "                amounts = [amount for _, amount in sorted(zip(ids, amounts))]\n", ""),),
+    ),
+    Mutant(
+        "path_amount_of_first_id",
+        "a part's edge carries the amount at its own id's position in the transfer record",
+        ((LEDGER, "            amount = amounts[bisect_left(ids, hid)]\n",
+          "            amount = amounts[0]\n"),),
+    ),
+    Mutant(
+        "path_holds_record_copies",
+        "a part's path holds the log's own transfer records, never copies",
+        ((LEDGER, "            part.path.append(rec)\n",
+          "            part.path.append(tuple(list(rec)))\n"),),
+    ),
+    Mutant(
+        "trusted_discount_multiplies",
+        "a trusted seller's discount divides the next seller's rate, so more trust lowers"
+        " no score (shared)",
+        ((ENGINE, "rate = rate / edge_discount(upstream_seller, view, params)",
+          "rate = rate * edge_discount(upstream_seller, view, params)"),
+         (ORACLE, "rate /= params.trusted_discount", "rate *= params.trusted_discount")),
+    ),
 ]
 
 

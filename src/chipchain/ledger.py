@@ -24,8 +24,14 @@ Device transfers are two-phase: the seller initiates, parts are locked in
 transit, and ownership moves only when the named destination confirms. A
 destination may instead reject, returning the parts to their owner. Transfers
 whose endpoints sit on different chains are routed through a per-ordered-pair
-meta-entity, so the recorded provenance of a cross-chain sale is two edges,
-seller to meta-entity and meta-entity to buyer.
+meta-entity, so the provenance of a cross-chain sale is two edges, seller to
+meta-entity and meta-entity to buyer.
+
+A part's path holds each hop once: it is the list of the transfer records that
+moved the part, the very tuples in the log. Its edges (seller, buyer, amount,
+currency) are derived from those records where they are read, by reports,
+adjudications, ``provenance`` and ``state_json``. A record's amounts follow its
+sorted ids, so a part's amount sits at its id's position.
 
 Read-only verification never touches the log: looking up an unknown id emits a
 suspicious-device flag into a side event list and nothing else.
@@ -40,6 +46,7 @@ adjudication penalizes the sellers along the defective part's attribution path.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _q
@@ -133,14 +140,19 @@ class PartType:
 
 @dataclass(slots=True)
 class PartRecord:
-    """One chiplet or IC instance and its accumulated provenance path."""
+    """One chiplet or IC instance and its provenance path.
+
+    ``path`` lists the transfer records that moved the part, in the order they
+    were confirmed: each is the record held in the log, not a copy. The ledger
+    derives the part's edges from them where it reads them.
+    """
 
     hashed_id: HashedDeviceId
     part_type: str
     owner: EntityId
     status: PartStatus = PartStatus.REGISTERED
     consumed_into: HashedDeviceId | None = None
-    path: list[Edge] = field(default_factory=list)
+    path: list[tuple] = field(default_factory=list)
 
 
 @dataclass(slots=True)
@@ -322,9 +334,9 @@ class Ledger:
 
         A canonical record (a tuple with a ``str`` kind and tuples of ids and
         amounts) is logged and held as pending itself; any other is logged as
-        the canonical record equal to it, so a caller's list never reaches the
-        log. An amount that is not valid, or a kind that names no part kind,
-        raises ``InvalidArgument``.
+        its canonical form, with the ids sorted and each amount moved with its
+        id, so a caller's list never reaches the log. An amount that is not
+        valid, or a kind that names no part kind, raises ``InvalidArgument``.
         """
         _, kind_value, part_type, caller, dest, ids, amounts, currency = rec
         for amount in amounts:
@@ -365,6 +377,9 @@ class Ledger:
                 raise Conflict(f"device {hid!r} is {part.status.value}, not transferable")
         if (id_tuple is not ids or type(amounts) is not tuple or type(kind_value) is not str
                 or type(rec) is not tuple):
+            if id_tuple is not ids:
+                # The ids are distinct, so sorting the pairs never compares amounts.
+                amounts = [amount for _, amount in sorted(zip(ids, amounts))]
             rec = ("transfer", _KIND_VALUES[kind], part_type, caller, dest, id_tuple,
                    tuple(amounts), currency)
         self._log.append(rec)
@@ -389,27 +404,21 @@ class Ledger:
         id_tuple = _sorted_ids(ids)
         if n != len(id_tuple):
             raise CountMismatch(f"declared {n} units, got {len(id_tuple)} ids")
-        _, _, _, source, dest, id_tuple, amounts, currency = self._find_pending(
-            caller, part_type, id_tuple
-        )
+        rec = self._find_pending(caller, part_type, id_tuple)
+        id_tuple = rec[5]
         self._log.append(("confirm", caller, part_type, id_tuple))
         del self._pending[id_tuple]
         entities = self._entities
-        src_chain = entities[source].chain
-        dst_chain = entities[dest].chain
-        via_meta = None
+        src_chain = entities[rec[3]].chain
+        dst_chain = entities[caller].chain
         if src_chain != dst_chain:
-            via_meta = self._get_or_create_meta(src_chain, dst_chain)
+            self._get_or_create_meta(src_chain, dst_chain)
         parts = self._parts
-        for hid, amount in zip(id_tuple, amounts):
+        for hid in id_tuple:
             part = parts[hid]
             part.owner = caller
             part.status = _OWNED
-            if via_meta is None:
-                part.path.append((source, dest, amount, currency))
-            else:
-                part.path.append((source, via_meta, amount, currency))
-                part.path.append((via_meta, dest, amount, currency))
+            part.path.append(rec)
 
     def reject_transfer(
         self, caller: EntityId, part_type: str, ids: Iterable[HashedDeviceId]
@@ -428,7 +437,8 @@ class Ledger:
 
         Its id is ``X^<src>_<dst>``; chain ids may contain neither separator
         and user entities may not take the ``X^`` prefix, so the id names
-        exactly one pair. Creation is implied by the confirm record.
+        exactly one pair. Creation is implied by the confirm record, and the
+        edges of every confirmed crossing read the pair's id back from ``_meta``.
         """
         meta_id = self._meta.get((src_chain, dst_chain))
         if meta_id is None:
@@ -524,7 +534,7 @@ class Ledger:
                 part = parts[hid]
                 part.status = _VERIFIED_OK
                 if engine is not None:
-                    engine.lifecycle_passed(part.path)
+                    engine.lifecycle_passed(self._edges(part))
         return report_id
 
     def adjudicate(
@@ -570,17 +580,18 @@ class Ledger:
         self._log.append(rec)
         self._adjudications[report_id] = rec
         traces: list[PenaltyTrace] = []
+        engine = self.engine
         for hid in bad:
             part = self._parts[hid]
             part.status = PartStatus.DEFECTIVE
-            own_path = part.path
-            origin_id = origins.get(hid)
-            if origin_id is not None:
-                penalty_path = self._parts[origin_id].path + part.path
-            else:
-                penalty_path = own_path
-            if self.engine is not None:
-                traces.append(self.engine.lifecycle_failed(own_path, penalty_path, part=hid))
+            if engine is not None:
+                own_path = self._edges(part)
+                origin_id = origins.get(hid)
+                if origin_id is not None:
+                    penalty_path = self._edges(self._parts[origin_id]) + own_path
+                else:
+                    penalty_path = own_path
+                traces.append(engine.lifecycle_failed(own_path, penalty_path, part=hid))
         return AdjudicationResult(report_id, bad, traces)
 
     # -- queries ---------------------------------------------------------------
@@ -594,11 +605,31 @@ class Ledger:
         was built into.
         """
         part = self.part(hashed_id)
-        edges = list(part.path)
+        edges = self._edges(part)
         if joined and part.consumed_into is not None:
-            edges.extend(self._parts[part.consumed_into].path)
+            edges += self._edges(self._parts[part.consumed_into])
         rates = self.exchange.rates
         return [(s, b, amount * rates[cur]) for s, b, amount, cur in edges]
+
+    def _edges(self, part: PartRecord) -> list[Edge]:
+        """The edges (seller, buyer, amount, currency) of ``part``'s path, in order.
+
+        Each transfer record gives the part's amount, at its id's position in
+        the record's sorted ids, and one edge, or two through the meta-entity
+        of the chain pair when seller and buyer sit on different chains.
+        """
+        entities, metas, hid = self._entities, self._meta, part.hashed_id
+        edges: list[Edge] = []
+        for _, _, _, source, dest, ids, amounts, currency in part.path:
+            amount = amounts[bisect_left(ids, hid)]
+            src_chain, dst_chain = entities[source].chain, entities[dest].chain
+            if src_chain == dst_chain:
+                edges.append((source, dest, amount, currency))
+            else:
+                meta_id = metas[src_chain, dst_chain]
+                edges.append((source, meta_id, amount, currency))
+                edges.append((meta_id, dest, amount, currency))
+        return edges
 
     # -- serialization and replay ---------------------------------------------
 
@@ -621,7 +652,7 @@ class Ledger:
                     "owner": p.owner,
                     "status": p.status.value,
                     "consumed_into": p.consumed_into,
-                    "path": [list(edge) for edge in p.path],
+                    "path": [list(edge) for edge in self._edges(p)],
                 }
                 for p in sorted(self._parts.values(), key=lambda p: p.hashed_id)
             ],
@@ -761,18 +792,20 @@ def _sale_record(
     sale_prices: Sequence[Money],
     dest: EntityId,
 ) -> tuple:
-    """The canonical transfer record of a sale of ``n`` devices at ``sale_prices``.
+    """The transfer record of a sale of ``n`` devices, ``sale_prices[i]`` for ``ids[i]``.
 
-    The prices must share one currency; with no prices it is the standard one.
+    The ids keep the caller's order: ``Ledger._transfer`` sorts them and moves
+    each amount with its id. The prices must share one currency; with no prices
+    it is the standard one.
     """
     currencies = {price.currency for price in sale_prices}
     if len(currencies) > 1:
         raise InvalidArgument("all sale prices in one transfer must share a currency")
     currency = currencies.pop() if currencies else STANDARD_CURRENCY
     amounts = tuple(price.amount for price in sale_prices)
-    id_tuple = _sorted_ids(ids)
-    _check_count(n, id_tuple, amounts)
-    return ("transfer", kind, part_type, caller, dest, id_tuple, amounts, currency)
+    ids = tuple(ids)
+    _check_count(n, _sorted_ids(ids), amounts)
+    return ("transfer", kind, part_type, caller, dest, ids, amounts, currency)
 
 
 def _field(build, *args):

@@ -27,7 +27,12 @@ from chipchain.ledger import (
     _encode_record,
     load_log_records,
 )
-from chipchain.reputation import ObserverView, ReputationEngine, ReputationParams
+from chipchain.reputation import (
+    EntityReputation,
+    ObserverView,
+    ReputationEngine,
+    ReputationParams,
+)
 from chipchain.simulator import (
     SimConfig,
     assign_behaviors,
@@ -617,12 +622,83 @@ class TestProvenance:
         for txn in confirmed:
             source, dest, via_meta = txn["source"], txn["dest"], txn["via_meta"]
             for h in txn["ids"]:
-                pairs = [(s, b) for s, b, _, _ in ledger.part(h).path]
+                pairs = [(s, b) for s, b, _ in ledger.provenance(h)]
                 if via_meta is None:
                     assert (source, dest) in pairs
                 else:
                     assert (source, via_meta) in pairs
                     assert (via_meta, dest) in pairs
+
+
+def multi_id_world():
+    """Three chiplets that cross chains and then move on one chain in one transfer each.
+
+    Each hop prices each chiplet differently, so a path that read another
+    part's amount would show it. Chiplet 2 passes its report; chiplet 1 is
+    built into an IC that fails at si1, with the defect traced to it.
+    """
+    ledger = small_world()
+    view = ObserverView("TB", frozenset({"TB"}))
+    engine = ledger.attach(ReputationEngine(view, ReputationParams(decrease_rate=1.0)))
+    ledger.register_chiplet_type("cm1", "CH")
+    ledger.register_ic_type("icm1", "IC")
+    chiplets = sorted(hid(f"multi-{i}") for i in range(3))
+    ic = hid("multi-ic")
+    ledger.register_devices("cm1", "CH", chiplets)
+    crossing = [Money(10.0), Money(20.0), Money(30.0)]
+    ledger.transfer_chiplets("cm1", "CH", 3, chiplets, crossing, "cd3")
+    ledger.confirm_transfer("cd3", "CH", 3, chiplets)  # crosses UB -> TB
+    onward = [Money(11.0), Money(22.0), Money(33.0)]
+    ledger.transfer_chiplets("cd3", "CH", 3, chiplets, onward, "icm1")
+    ledger.confirm_transfer("icm1", "CH", 3, chiplets)
+    ledger.report("icm1", [chiplets[2]], 0)
+    ledger.register_devices("icm1", "IC", [ic])
+    ledger.consume_chiplets("icm1", [chiplets[1]], ic)
+    ship(ledger, "icm1", "si1", "IC", [ic], 400.0, kind="ic")
+    rid = ledger.report("si1", [ic], 1)
+    ledger.adjudicate("ta-tb", rid, [ic], defect_origins={ic: chiplets[1]})
+    return ledger, engine, chiplets
+
+
+class TestPathRecords:
+    """A part's path is its transfer records; its edges are derived from them."""
+
+    def test_prices_follow_their_ids(self):
+        ledger = small_world()
+        ledger.register_chiplet_type("cm1", "CH")
+        a, b = sorted([hid("priced-a"), hid("priced-b")])
+        ledger.register_devices("cm1", "CH", [a, b])
+        ledger.transfer_chiplets("cm1", "CH", 2, [b, a], [Money(1.0), Money(2.0)], "cd1")
+        ledger.confirm_transfer("cd1", "CH", 2, [a, b])
+        assert ledger.provenance(b) == [("cm1", "cd1", 1.0)]
+        assert ledger.provenance(a) == [("cm1", "cd1", 2.0)]
+
+    def test_multi_id_paths_derive_each_parts_amount(self, tmp_path):
+        ledger, engine, chiplets = multi_id_world()
+        for i, chiplet in enumerate(chiplets, start=1):
+            assert ledger.provenance(chiplet) == [
+                ("cm1", "X^UB_TB", 10.0 * i), ("X^UB_TB", "cd3", 10.0 * i),
+                ("cd3", "icm1", 11.0 * i),
+            ]
+        assert ledger.provenance(chiplets[1], joined=True)[-1] == ("icm1", "si1", 400.0)
+        # Chiplet 2's reward, then the joined penalty at divisor 1 + 1.
+        assert engine.reputation("cm1") == EntityReputation(15.0, 30.0)
+        assert oracle_max_deviation(engine, ledger.log_records()) == 0.0
+        path = tmp_path / "ledger.ndjson"
+        ledger.save_log(path)
+        assert replay(load_log_records(path)).ledger.state_json() == ledger.state_json()
+
+    def test_paths_hold_the_logs_own_records(self, tmp_path):
+        cfg = SimConfig(n_transactions=2_000, cross_chain_prob=0.5, rng_seed=0)
+        ledger = run_end_to_end(cfg).replay.ledger
+        path = tmp_path / "ledger.ndjson"
+        ledger.save_log(path)
+        for world in (ledger, replay(load_log_records(path)).ledger):
+            records = world.log_records()
+            logged = {id(rec) for rec in records if rec[0] == "transfer"}
+            hops = [rec for part in world.parts.values() for rec in part.path]
+            assert len(hops) == sum(len(rec[3]) for rec in records if rec[0] == "confirm")
+            assert all(id(rec) in logged for rec in hops)
 
 
 class TestReplayDeterminism:
@@ -1022,7 +1098,7 @@ class TestRecordIdentity:
         [
             (sale(ids=["a" * 64]), sale()),
             (sale(ids=("b" * 64, "a" * 64), amounts=(1.0, 2.0)),
-             sale(ids=("a" * 64, "b" * 64), amounts=(1.0, 2.0))),
+             sale(ids=("a" * 64, "b" * 64), amounts=(2.0, 1.0))),
             (sale(kind=PartKind.CHIPLET), sale()),
             (sale(amounts=[5.0]), sale(amounts=(5.0,))),
             (list(sale()), sale()),
@@ -1066,7 +1142,7 @@ class TestRecordIdentity:
             ledger.apply_record(setup)
         ledger.transfer_chiplets("cm", "t", 2, ["b" * 64, "a" * 64], [Money(1), Money(2.5)], "cd")
         got = ledger.log_records()[-1]
-        assert got == sale(ids=("a" * 64, "b" * 64), amounts=(1, 2.5))
+        assert got == sale(ids=("a" * 64, "b" * 64), amounts=(2.5, 1))
         assert type(got[1]) is str and type(got[5]) is tuple and type(got[6]) is tuple
 
 

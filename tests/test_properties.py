@@ -6,9 +6,10 @@ adjudications) by attempting random operations and skipping the ones that
 fail validation; failed calls must leave no trace, so the surviving log
 exercises replay determinism far beyond the happy path.
 
-A metamorphic relation checks how scores must change when a log changes in a
-known way, which the oracle cannot check when it shares a misreading with the
-engine: doubling every amount doubles every r and r_ideal exactly.
+Metamorphic relations check how scores must change when a log or a view
+changes in a known way, which the oracle cannot check when it shares a
+misreading with the engine: doubling every amount doubles every r and r_ideal
+exactly, and trusting more chains lowers no r and leaves every r_ideal as it is.
 """
 
 import random
@@ -311,14 +312,19 @@ def doubled(rec: tuple) -> tuple:
     return (*rec[:6], tuple(2 * amount for amount in rec[6]), rec[7])
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_doubling_every_amount_doubles_every_score(seed, tmp_path):
-    # An audit-style world: many cross-chain hops, untrusted makers defecting often.
+def audit_world(seed: int):
+    """The topology and stream of an audit-style world: many cross-chain hops,
+    untrusted makers defecting often."""
     cfg = SimConfig(n_transactions=5_000, cross_chain_prob=0.5, rng_seed=seed)
     topology = build_topology(cfg)
     untrusted = {chain: 0.1 for chain, trusted in cfg.chains if not trusted}
     behaviors = assign_behaviors(topology, uniform_p=0.02, per_chain=untrusted)
-    stream = list(generate_stream(topology, cfg, behaviors))
+    return topology, list(generate_stream(topology, cfg, behaviors))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_doubling_every_amount_doubles_every_score(seed, tmp_path):
+    topology, stream = audit_world(seed)
     params = ReputationParams()
     scores = []
     for name, records in (("base", stream), ("doubled", list(map(doubled, stream)))):
@@ -341,3 +347,29 @@ def test_doubling_every_amount_doubles_every_score(seed, tmp_path):
         assert normalized_score(EntityReputation(r2, r_ideal2)) == normalized_score(
             EntityReputation(r, r_ideal)
         ), eid
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_trusting_more_chains_lowers_no_score(seed):
+    # A trusted seller discounts the rate of the sellers after it, so growing
+    # the trusted set can only shrink divisors. Rounding is monotone, so the
+    # relation holds bit for bit; rewards do not depend on trust at all.
+    topology, records = audit_world(seed)
+    params = ReputationParams()
+    scores = []
+    for trusted in ({"TC-1"}, {"TC-1", "TC-2"}, set(topology.chain_of.values())):
+        view = ObserverView("TC-1", frozenset(trusted))
+        engine = ReputationEngine(view, params)
+        replay(records, engine)
+        reps = {}
+        for eid in engine.known_entities():
+            rep = engine.reputation(eid)
+            reps[eid] = (rep.r, rep.r_ideal)
+        scores.append((reps, oracle_recompute(records, params, view, engine.exchange)))
+    for (less, less_oracle), (more, more_oracle) in zip(scores, scores[1:]):
+        assert less.keys() == more.keys() == less_oracle.keys() == more_oracle.keys()
+        for before, after in ((less, more), (less_oracle, more_oracle)):
+            for eid, (r, r_ideal) in before.items():
+                assert after[eid][0] >= r, eid
+                assert after[eid][1] == r_ideal, eid
+            assert any(after[eid][0] > r for eid, (r, _) in before.items())
