@@ -53,6 +53,7 @@ ORACLE = "src/chipchain/harness.py"
 DOMAIN = "src/chipchain/domain.py"
 HARNESS = "src/chipchain/harness.py"
 SIMULATOR = "src/chipchain/simulator.py"
+CLI = "src/chipchain/cli.py"
 
 
 class Mutant(NamedTuple):
@@ -121,8 +122,8 @@ MUTANTS = [
     Mutant(
         "rejected_row_confirmed",
         "state_json shows a rejected transfer as rejected",
-        ((LEDGER, 'open_rows.pop(rec[3])["status"] = "rejected"',
-          'open_rows.pop(rec[3])["status"] = "confirmed"'),),
+        ((LEDGER, 'open_rows.pop(rec[5])["status"] = "rejected"',
+          'open_rows.pop(rec[5])["status"] = "confirmed"'),),
     ),
     Mutant(
         "via_meta_while_pending",
@@ -277,8 +278,8 @@ MUTANTS = [
     Mutant(
         "encoder_fields_reordered",
         "a confirm or reject line writes its fields in the documented order",
-        ((LEDGER, """                f'{{"op":"{op}","caller":{_q(caller)},"type":{_q(part_type)},'\n""",
-          """                f'{{"op":"{op}","type":{_q(part_type)},"caller":{_q(caller)},'\n"""),),
+        ((LEDGER, """f'{{"op":"{op}","caller":{_q(caller)},"type":{_q(part_type)},""",
+          """f'{{"op":"{op}","type":{_q(part_type)},"caller":{_q(caller)},"""),),
     ),
     # One mutant per precondition of each ledger op: role, owner, status,
     # count, currency and trusted-authority chain.
@@ -457,6 +458,30 @@ MUTANTS = [
         ((ENGINE, "rate = rate / edge_discount(upstream_seller, view, params)",
           "rate = rate * edge_discount(upstream_seller, view, params)"),
          (ORACLE, "rate /= params.trusted_discount", "rate *= params.trusted_discount")),
+    ),
+    Mutant(
+        "closed_record_from_seller",
+        "a confirm or reject reads back with the transfer's buyer as its caller",
+        ((LEDGER, "    return (_CLOSING_OPS[mark], rec[4], rec[2], rec[5]) if mark else rec\n",
+          "    return (_CLOSING_OPS[mark], rec[3], rec[2], rec[5]) if mark else rec\n"),),
+    ),
+    Mutant(
+        "view_flags_unchecked",
+        "a view flag names only chains that the log registers",
+        ((CLI, "        if chain not in chains:\n", "        if False:\n"),),
+    ),
+    Mutant(
+        "exchange_rate_ignored",
+        "rewards and foregone amounts are converted at the currency's rate, so a currency"
+        " worth half at twice the amounts scores the same (shared)",
+        ((ENGINE, "value = amount * (rates.get(currency) or self.exchange.rate(currency))\n",
+          "value = amount\n"),
+         (ENGINE, "            self._get(seller).r_ideal += amount * rate(currency)\n",
+          "            self._get(seller).r_ideal += amount\n"),
+         (ORACLE, "                        credit(seller, amount * rates[currency])\n",
+          "                        credit(seller, amount)\n"),
+         (ORACLE, "credit(seller, amount * rates[currency], ideal_only=True)",
+          "credit(seller, amount, ideal_only=True)")),
     ),
 ]
 

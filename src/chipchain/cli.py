@@ -92,12 +92,20 @@ def load_config(
 
 
 def view_from_flags(args, chains) -> ObserverView:
+    """The view of ``--trusted-chains`` and ``--observer`` over a log that registers ``chains``.
+
+    A flag that names a chain the log does not register raises ``InvalidConfig``.
+    """
     trusted = (
         frozenset(args.trusted_chains.split(","))
         if args.trusted_chains
         else frozenset(chains)
     )
     observer = args.observer or sorted(trusted)[0]
+    named = [("--trusted-chains", chain) for chain in sorted(trusted)]
+    for flag, chain in [*named, ("--observer", observer)]:
+        if chain not in chains:
+            raise InvalidConfig(f"{flag}: the log registers no chain {chain!r}")
     return ObserverView(observer, trusted | {observer})
 
 

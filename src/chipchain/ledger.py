@@ -33,6 +33,12 @@ currency) are derived from those records where they are read, by reports,
 adjudications, ``provenance`` and ``state_json``. A record's amounts follow its
 sorted ids, so a part's amount sits at its id's position.
 
+A confirm or reject repeats the buyer, part type and ids of the transfer it
+closes, so the log stores that transfer record again at its position, with a
+one-byte mark, instead of a tuple of its own. ``log_records`` reads the list
+through the marks and rebuilds ``(op, caller, type, ids)`` at a marked
+position; ``log_lines`` and ``state_json`` read the list and the marks directly.
+
 Read-only verification never touches the log: looking up an unknown id emits a
 suspicious-device flag into a side event list and nothing else.
 
@@ -47,10 +53,10 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _q
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .domain import (
     STANDARD_CURRENCY,
@@ -103,6 +109,11 @@ class PartStatus(str, Enum):
 #: as module names: a member read through its enum class costs ten times as much.
 _IN_TRANSIT, _OWNED, _VERIFIED_OK = PartStatus.IN_TRANSIT, PartStatus.OWNED, PartStatus.VERIFIED_OK
 _META = Role.META_ENTITY
+
+#: The marks of a log position that stores the transfer record it closes, and
+#: the op of each mark.
+_CONFIRMED, _REJECTED = 1, 2
+_CLOSING_OPS = (None, "confirm", "reject")
 
 #: Prefix of meta-entity ids; user entities may not take it.
 META_PREFIX = "X^"
@@ -187,7 +198,11 @@ class Ledger:
         self._reports: dict[str, tuple] = {}
         self._adjudications: dict[str, tuple] = {}
         self._meta: dict[tuple[ChainId, ChainId], EntityId] = {}
+        # A confirm or reject is stored as the transfer record it closes, and
+        # marked as such: one byte per log position, 0 where the stored record
+        # is the position's own.
         self._log: list[tuple] = []
+        self._marks = bytearray()
         self.suspicious_events: list[tuple[EntityId, HashedDeviceId]] = []
         self.engine: ReputationEngine | None = None
 
@@ -247,6 +262,7 @@ class Ledger:
         if chain_id in self._chains:
             raise AlreadyExists(f"chain {chain_id!r} already registered")
         self._log.append(("chain", chain_id))
+        self._marks.append(0)
         self._chains.add(chain_id)
 
     def add_entity(self, entity: Entity) -> None:
@@ -257,6 +273,7 @@ class Ledger:
         if entity.role is Role.META_ENTITY or entity.id.startswith(META_PREFIX):
             raise PermissionDenied("meta-entities are created only by cross-chain transfers")
         self._log.append(("entity", entity.id, entity.role.value, entity.chain))
+        self._marks.append(0)
         self._entities[entity.id] = entity
 
     # -- type and device registration -----------------------------------------
@@ -280,6 +297,7 @@ class Ledger:
         if type_name in self._types:
             raise AlreadyExists(f"part type {type_name!r} already registered")
         self._log.append(("type", type_name, kind.value, caller))
+        self._marks.append(0)
         self._types[type_name] = PartType(type_name, kind, caller)
         return type_name
 
@@ -301,6 +319,7 @@ class Ledger:
             if hid in parts:
                 raise AlreadyExists(f"device {hid!r} already registered")
         self._log.append(("devices", caller, part_type, id_tuple))
+        self._marks.append(0)
         for hid in id_tuple:
             parts[hid] = PartRecord(hid, part_type, caller)
         return len(id_tuple)
@@ -383,6 +402,7 @@ class Ledger:
             rec = ("transfer", _KIND_VALUES[kind], part_type, caller, dest, id_tuple,
                    tuple(amounts), currency)
         self._log.append(rec)
+        self._marks.append(0)
         self._pending[id_tuple] = rec
         for hid in id_tuple:
             parts[hid].status = _IN_TRANSIT
@@ -406,7 +426,8 @@ class Ledger:
             raise CountMismatch(f"declared {n} units, got {len(id_tuple)} ids")
         rec = self._find_pending(caller, part_type, id_tuple)
         id_tuple = rec[5]
-        self._log.append(("confirm", caller, part_type, id_tuple))
+        self._log.append(rec)
+        self._marks.append(_CONFIRMED)
         del self._pending[id_tuple]
         entities = self._entities
         src_chain = entities[rec[3]].chain
@@ -424,8 +445,10 @@ class Ledger:
         self, caller: EntityId, part_type: str, ids: Iterable[HashedDeviceId]
     ) -> None:
         """Decline a pending transfer, returning the parts to their owner."""
-        id_tuple = self._find_pending(caller, part_type, _sorted_ids(ids))[5]
-        self._log.append(("reject", caller, part_type, id_tuple))
+        rec = self._find_pending(caller, part_type, _sorted_ids(ids))
+        id_tuple = rec[5]
+        self._log.append(rec)
+        self._marks.append(_REJECTED)
         del self._pending[id_tuple]
         for hid in id_tuple:
             self._parts[hid].status = PartStatus.OWNED
@@ -491,6 +514,7 @@ class Ledger:
             if part.status not in (PartStatus.OWNED, PartStatus.VERIFIED_OK):
                 raise Conflict(f"chiplet {hid!r} is {part.status.value}")
         self._log.append(("consume", caller, chiplets, ic_id))
+        self._marks.append(0)
         for hid in chiplets:
             part = parts[hid]
             part.status = PartStatus.CONSUMED
@@ -526,6 +550,7 @@ class Ledger:
                 raise Conflict(f"device {hid!r} is {part.status.value}, not reportable")
         rec = ("report", caller, id_tuple, result)
         self._log.append(rec)
+        self._marks.append(0)
         report_id = f"R{len(self._reports) + 1:06d}"
         self._reports[report_id] = rec
         if result == 0:
@@ -578,6 +603,7 @@ class Ledger:
         origin_pairs = tuple(sorted(origins.items()))
         rec = ("adjudicate", ta, report_id, bad, origin_pairs)
         self._log.append(rec)
+        self._marks.append(0)
         self._adjudications[report_id] = rec
         traces: list[PenaltyTrace] = []
         engine = self.engine
@@ -671,15 +697,23 @@ class Ledger:
     def _transaction_rows(self) -> list[dict]:
         """One row per transfer record, numbered in log order, with its outcome.
 
-        A transfer stays pending until a confirm or reject record names its
-        ids; a confirmed transfer between two chains went through the meta-entity
-        of that chain pair.
+        A transfer stays pending until a confirm or reject closes it; a
+        confirmed transfer between two chains went through the meta-entity of
+        that chain pair.
         """
         rows: list[dict] = []
         open_rows: dict[tuple[HashedDeviceId, ...], dict] = {}
-        for rec in self._log:
-            op = rec[0]
-            if op == "transfer":
+        for rec, mark in zip(self._log, self._marks):
+            if mark == _CONFIRMED:
+                row = open_rows.pop(rec[5])
+                row["status"] = "confirmed"
+                src_chain = self._entities[rec[3]].chain
+                dst_chain = self._entities[rec[4]].chain
+                if src_chain != dst_chain:
+                    row["via_meta"] = self._meta[src_chain, dst_chain]
+            elif mark == _REJECTED:
+                open_rows.pop(rec[5])["status"] = "rejected"
+            elif rec[0] == "transfer":
                 _, _, part_type, source, dest, ids, amounts, currency = rec
                 row = {
                     "seq": len(rows) + 1,
@@ -694,15 +728,6 @@ class Ledger:
                 }
                 rows.append(row)
                 open_rows[ids] = row
-            elif op == "confirm":
-                row = open_rows.pop(rec[3])
-                row["status"] = "confirmed"
-                src_chain = self._entities[row["source"]].chain
-                dst_chain = self._entities[row["dest"]].chain
-                if src_chain != dst_chain:
-                    row["via_meta"] = self._meta[src_chain, dst_chain]
-            elif op == "reject":
-                open_rows.pop(rec[3])["status"] = "rejected"
         return rows
 
     def _report_row(self, report_id: str, rec: tuple) -> dict:
@@ -719,11 +744,21 @@ class Ledger:
         }
 
     def log_records(self) -> Sequence[tuple]:
-        return self._log
+        """The log's records in order, read-only: a view over the stored records.
+
+        A confirm or reject reads as ``(op, caller, type, ids)``, rebuilt from
+        the transfer record that the ledger stores in its place; every other
+        record is the stored tuple itself.
+        """
+        return _LogRecords(self._log, self._marks)
 
     def log_lines(self) -> Iterator[str]:
         """The operation log as JSON lines (without the newline), fields in fixed order."""
-        return map(_encode_record, self._log)
+        for rec, mark in zip(self._log, self._marks):
+            if mark:
+                yield _closing_line(_CLOSING_OPS[mark], rec[4], rec[2], rec[5])
+            else:
+                yield _encode_record(rec)
 
     def save_log(self, path) -> None:
         """Write the log as newline-delimited JSON; ``path`` is replaced atomically."""
@@ -765,6 +800,35 @@ class Ledger:
                 self.add_chain(rec[1])
             case op:
                 raise InvalidArgument(f"unknown log operation {op!r}")
+
+
+class _LogRecords(Sequence):
+    """``Ledger.log_records()``: the stored list read through its marks.
+
+    It holds the list and the marks, never the ledger.
+    """
+
+    __slots__ = ("_log", "_marks")
+
+    def __init__(self, log: list[tuple], marks: bytearray) -> None:
+        self._log = log
+        self._marks = marks
+
+    def __len__(self) -> int:
+        return len(self._log)
+
+    def __getitem__(self, index):
+        if type(index) is slice:
+            return list(_LogRecords(self._log[index], self._marks[index]))
+        return _record_at(self._log[index], self._marks[index])
+
+    def __iter__(self) -> Iterator[tuple]:
+        return map(_record_at, self._log, self._marks)
+
+
+def _record_at(rec: tuple, mark: int) -> tuple:
+    """The record at a log position that stores ``rec`` with ``mark``."""
+    return (_CLOSING_OPS[mark], rec[4], rec[2], rec[5]) if mark else rec
 
 
 def _sorted_ids(ids: Iterable[HashedDeviceId]) -> tuple[HashedDeviceId, ...]:
@@ -855,11 +919,7 @@ def _encode_record(rec: tuple) -> str:
                 f'"currency":{_q(currency)}}}'
             )
         case "confirm" | "reject":
-            op, caller, part_type, ids = rec
-            return (
-                f'{{"op":"{op}","caller":{_q(caller)},"type":{_q(part_type)},'
-                f'"ids":[{_ids(ids)}]}}'
-            )
+            return _closing_line(*rec)
         case "devices":
             _, maker, part_type, ids = rec
             return (
@@ -893,6 +953,11 @@ def _encode_record(rec: tuple) -> str:
             return f'{{"op":"type","name":{_q(name)},"kind":{_q(kind)},"maker":{_q(maker)}}}'
         case "chain":
             return f'{{"op":"chain","id":{_q(rec[1])}}}'
+
+
+def _closing_line(op: str, caller: str, part_type: str, ids: Sequence[str]) -> str:
+    """The JSON line of a confirm or reject record."""
+    return f'{{"op":"{op}","caller":{_q(caller)},"type":{_q(part_type)},"ids":[{_ids(ids)}]}}'
 
 
 def _obj_to_record(obj: dict, share) -> tuple:

@@ -414,6 +414,47 @@ class TestMalformedLogs:
         assert "Traceback" not in err
 
 
+class TestViewFlags:
+    """A view flag must name a chain that the log registers."""
+
+    @pytest.mark.parametrize("command", TestMalformedLogs.COMMANDS)
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--trusted-chains", "TC-1,TC2"], "--trusted-chains: the log registers no chain 'TC2'"),
+            (["--trusted-chains", "TC-1,"], "--trusted-chains: the log registers no chain ''"),
+            (["--observer", "NOPE"], "--observer: the log registers no chain 'NOPE'"),
+        ],
+        ids=["typo", "trailing_comma", "unknown_observer"],
+    )
+    def test_unknown_chain_is_refused(
+        self, tmp_path, config_file, capsys, command, flags, message
+    ):
+        out = tmp_path / "run"
+        run(["simulate", "--config", config_file, "--out", out])
+        capsys.readouterr()
+        argv = TestMalformedLogs.argv(command, out / "ledger.ndjson", tmp_path)
+        assert run(argv + flags) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_registered_chains_are_accepted(self, tmp_path, config_file, capsys):
+        out = tmp_path / "run"
+        run(["simulate", "--config", config_file, "--out", out])
+        log = out / "ledger.ndjson"
+        assert run(["verify-oracle", "--log", log, "--trusted-chains", "TC-1,UC-1",
+                    "--observer", "UC-1"]) == 0
+        assert run(["verify-oracle", "--log", log, "--trusted-chains", "TC-1",
+                    "--observer", "UC-1"]) == 0
+
+    def test_a_log_without_chains_is_read_as_chain_main(self, tmp_path, capsys):
+        log = tmp_path / "empty.ndjson"
+        log.write_text("")
+        assert run(["verify-oracle", "--log", log]) == 0
+        assert run(["verify-oracle", "--log", log, "--trusted-chains", "main"]) == 0
+        assert run(["verify-oracle", "--log", log, "--observer", "TC-1"]) == 1
+        assert capsys.readouterr().err == "error: --observer: the log registers no chain 'TC-1'\n"
+
+
 #: A small world with defects (chiplet and IC) and frequent chain crossings.
 GOLDEN_CONFIG = {
     "sim": {

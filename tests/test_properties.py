@@ -9,17 +9,19 @@ exercises replay determinism far beyond the happy path.
 Metamorphic relations check how scores must change when a log or a view
 changes in a known way, which the oracle cannot check when it shares a
 misreading with the engine: doubling every amount doubles every r and r_ideal
-exactly, and trusting more chains lowers no r and leaves every r_ideal as it is.
+exactly, re-expressing every sale in a currency worth half at twice the amounts
+changes no score, and trusting more chains lowers no r and leaves every r_ideal
+as it is.
 """
 
 import random
 
 import pytest
 
-from chipchain.domain import Entity, Money, Role, hash_device_id
+from chipchain.domain import STANDARD_TABLE, Entity, ExchangeTable, Money, Role, hash_device_id
 from chipchain.errors import ChipchainError
 from chipchain.harness import oracle_max_deviation, oracle_recompute
-from chipchain.ledger import Ledger, PartKind, PartStatus, load_log_records
+from chipchain.ledger import Ledger, PartKind, PartStatus, _encode_record, load_log_records
 from chipchain.reputation import (
     EntityReputation,
     ObserverView,
@@ -305,6 +307,49 @@ def test_oracle_equivalence_under_multiple_views():
         assert oracle_max_deviation(engine, records) <= 1e-9
 
 
+def assert_log_reads_as(ledger, records):
+    """``ledger.log_records()`` reads as ``records``, field types included, by
+    iteration and by index, and ``log_lines`` encodes them; no confirm or reject
+    is stored as its own tuple."""
+    view = ledger.log_records()
+    assert list(view) == records
+    assert [list(map(type, rec)) for rec in view] == [list(map(type, rec)) for rec in records]
+    assert len(view) == ledger.log_length() == len(records)
+    assert [view[i] for i in range(-len(records), 0)] == records
+    assert view[-1] == records[-1] and view[1:4] == records[1:4]
+    with pytest.raises(IndexError):
+        view[len(records)]
+    assert list(ledger.log_lines()) == [_encode_record(rec) for rec in records]
+    assert not any(rec[0] in ("confirm", "reject") for rec in ledger._log)
+
+
+def test_log_view_of_a_generated_stream():
+    cfg = SimConfig(n_transactions=2_000, cross_chain_prob=0.5, rng_seed=0)
+    topology = build_topology(cfg)
+    records = list(generate_stream(topology, cfg))
+    assert {"confirm", "adjudicate", "consume"} <= {rec[0] for rec in records}
+    assert_log_reads_as(replay(records).ledger, records)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_log_view_of_the_soup(seed):
+    ledger, _, entities, types = build_soup_world()
+    run_soup(ledger, entities, types, random.Random(seed), steps=400)
+    records = list(ledger.log_records())
+    # Each confirm or reject names the buyer, part type and ids of the transfer it closes.
+    pending, closed = {}, []
+    for rec in records:
+        if rec[0] == "transfer":
+            pending[rec[5]] = rec
+        elif rec[0] in ("confirm", "reject"):
+            transfer = pending.pop(rec[3])
+            assert rec[1:] == (transfer[4], transfer[2], transfer[5])
+            closed.append(rec[0])
+    assert set(closed) == {"confirm", "reject"}
+    assert_log_reads_as(ledger, records)
+    assert_log_reads_as(replay(records).ledger, records)
+
+
 def doubled(rec: tuple) -> tuple:
     """``rec`` with every amount times 2."""
     if rec[0] != "transfer":
@@ -373,3 +418,35 @@ def test_trusting_more_chains_lowers_no_score(seed):
                 assert after[eid][0] >= r, eid
                 assert after[eid][1] == r_ideal, eid
             assert any(after[eid][0] > r for eid, (r, _) in before.items())
+
+
+def in_half_currency(rec: tuple) -> tuple:
+    """``rec`` with every amount times 2, in a currency worth half the standard one."""
+    if rec[0] != "transfer":
+        return rec
+    return (*rec[:6], tuple(2 * amount for amount in rec[6]), "HALF")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_currency_worth_half_at_twice_the_amounts_scores_the_same(seed):
+    # Amount x 2 x 0.5 is the amount exactly, so the relation holds bit for bit.
+    topology, stream = audit_world(seed)
+    params = ReputationParams()
+    scores = []
+    for exchange, records in (
+        (STANDARD_TABLE, stream),
+        (ExchangeTable({"HALF": 0.5}), list(map(in_half_currency, stream))),
+    ):
+        ledger = Ledger(exchange)
+        engine = ledger.attach(ReputationEngine(topology.view, params))
+        for rec in records:
+            ledger.apply_record(rec)
+        reps = {}
+        for eid in engine.known_entities():
+            rep = engine.reputation(eid)
+            reps[eid] = (rep.r, rep.r_ideal)
+        scores.append((reps, oracle_recompute(records, params, topology.view, exchange)))
+    (base, base_oracle), (half, half_oracle) = scores
+    assert any(0 < r < r_ideal for r, r_ideal in base.values())
+    assert half == base
+    assert half_oracle == base_oracle
