@@ -2,9 +2,10 @@
 
 Each mutant breaks one rule of the program by replacing text in a copy of
 ``src/``; a shared mutant edits the engine and the oracle together, the way a
-misreading of the rules would. For every mutant the script copies ``src/``
-and ``tests/`` (and ``bench/spans.py``, which ``tests/test_traced_names.py``
-reads) to a temporary directory, applies the mutant's edits and runs
+misreading of the rules would. For every mutant the script copies ``src/``,
+``tests/`` and ``demos/`` (which ``tests/test_demos.py`` runs), and
+``bench/spans.py`` (which ``tests/test_traced_names.py`` reads), to a temporary
+directory, applies the mutant's edits and runs
 
     python -m pytest tests --ignore=tests/test_acceptance.py
 
@@ -38,7 +39,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "bench/spans.py")
+COPIED = ("src", "tests", "demos", "bench/spans.py")
 PYTEST = [
     sys.executable, "-m", "pytest", "tests", "--ignore=tests/test_acceptance.py",
     "-q", "-rfE", "-p", "no:cacheprovider",
@@ -214,8 +215,13 @@ MUTANTS = [
     Mutant(
         "markup_overflow_unchecked",
         "a config's markup leaves the largest price it can write finite",
-        ((SIMULATOR, "if not math.isfinite(self.base_unit_cost * self.chiplets_per_ic * top):",
-          "if False:"),),
+        ((SIMULATOR, "        if not math.isfinite(top):\n", "        if False:\n"),),
+    ),
+    Mutant(
+        "config_count_accepts_bool",
+        "a config count is an int, never a bool",
+        ((SIMULATOR, "            if type(value) is not int or value < 1:\n",
+          "            if not isinstance(value, int) or value < 1:\n"),),
     ),
     Mutant(
         "draw_high_half_dropped",

@@ -75,14 +75,9 @@ def load_config(
             if unknown:
                 raise InvalidConfig(f"unknown {name} config keys: {sorted(unknown)}")
         sim_raw = dict(raw.get("sim", {}))
-        if "chains" in sim_raw:
-            sim_raw["chains"] = tuple((c, bool(t)) for c, t in sim_raw["chains"])
-        if "hop_range" in sim_raw:
-            sim_raw["hop_range"] = tuple(sim_raw["hop_range"])
-        cfg = SimConfig(**sim_raw)
         if seed is not None:
-            cfg = dataclasses.replace(cfg, rng_seed=seed)
-        cfg.validate()
+            sim_raw["rng_seed"] = seed
+        cfg = SimConfig(**sim_raw)
         params = ReputationParams(**raw.get("reputation", {}))
         spec = raw.get("behaviors")
         behaviors = assign_behaviors(build_topology(cfg), **spec) if spec else None
@@ -107,17 +102,6 @@ def view_from_flags(args, chains) -> ObserverView:
         if chain not in chains:
             raise InvalidConfig(f"{flag}: the log registers no chain {chain!r}")
     return ObserverView(observer, trusted | {observer})
-
-
-def _add_view_flags(parser: argparse.ArgumentParser) -> None:
-    defaults = ReputationParams()
-    parser.add_argument(
-        "--m", type=float, default=defaults.decrease_rate, help="multiplicative decrease rate"
-    )
-    parser.add_argument("--trusted-discount", type=float, default=defaults.trusted_discount)
-    parser.add_argument("--penalty-form", choices=PENALTY_FORMS, default=defaults.penalty_form)
-    parser.add_argument("--trusted-chains", help="comma-separated trusted chain ids")
-    parser.add_argument("--observer", help="observer chain (default: first trusted)")
 
 
 def _run_config(args, out_dir: Path | None = None) -> tuple[SimConfig, EndToEndResult]:
@@ -242,60 +226,59 @@ def build_parser() -> argparse.ArgumentParser:
         description="supply-chain provenance ledger and reputation experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The flags that several commands share, each group declared once.
+    world, curve, view = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    world.add_argument("--config", help="JSON config file")
+    world.add_argument("--seed", type=int, help="override the config seed")
+    world.add_argument("--out", required=True, help="output directory")
+    world.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
+    curve.add_argument("--n", type=int, required=True, help="number of transactions")
+    curve.add_argument("--seed", type=int, required=True)
+    curve.add_argument("--out", help="output directory for CSVs")
+    curve.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
+    defaults = ReputationParams()
+    view.add_argument("--log", required=True, help="ledger.ndjson")
+    view.add_argument(
+        "--m", type=float, default=defaults.decrease_rate, help="multiplicative decrease rate"
+    )
+    view.add_argument("--trusted-discount", type=float, default=defaults.trusted_discount)
+    view.add_argument("--penalty-form", choices=PENALTY_FORMS, default=defaults.penalty_form)
+    view.add_argument("--trusted-chains", help="comma-separated trusted chain ids")
+    view.add_argument("--observer", help="observer chain (default: first trusted)")
 
-    p = sub.add_parser("simulate", help="generate and replay a full stream")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
+    p = sub.add_parser("simulate", parents=[world], help="generate and replay a full stream")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("basic", help="single-manufacturer curve sweep")
+    p = sub.add_parser("basic", parents=[curve], help="single-manufacturer curve sweep")
     p.add_argument("--m", type=float, action="append", help="decrease rate (repeatable)")
     p.add_argument(
         "--defect-prob", type=float, action="append", help="defect probability (repeatable)"
     )
-    p.add_argument("--n", type=int, required=True, help="number of transactions")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", help="output directory for CSVs")
-    p.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
     p.set_defaults(func=cmd_basic)
 
-    p = sub.add_parser("end-to-end", help="full supply-chain simulation")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
-    p.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
+    p = sub.add_parser("end-to-end", parents=[world], help="full supply-chain simulation")
     p.set_defaults(func=cmd_end_to_end)
 
-    p = sub.add_parser("attack", help="benign / malicious / sleeper comparison")
+    p = sub.add_parser("attack", parents=[curve], help="benign / malicious / sleeper comparison")
     p.add_argument("--benign-p", type=float, default=0.001)
     p.add_argument(
         "--malicious-p", type=float, action="append", required=True, help="repeatable"
     )
     p.add_argument("--switch-at", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", help="output directory for CSVs")
-    p.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
     p.add_argument("--m", type=float, default=ATTACK_DECREASE_RATE)
     p.set_defaults(func=cmd_attack)
 
-    p = sub.add_parser("replay", help="re-apply a ledger log")
-    p.add_argument("--log", required=True, help="ledger.ndjson")
+    p = sub.add_parser("replay", parents=[view], help="re-apply a ledger log")
     p.add_argument("--out", required=True)
-    _add_view_flags(p)
     p.set_defaults(func=cmd_replay)
 
-    p = sub.add_parser("score", help="query one entity's reputation from a log")
-    p.add_argument("--log", required=True, help="ledger.ndjson")
+    p = sub.add_parser("score", parents=[view], help="query one entity's reputation from a log")
     p.add_argument("--entity", required=True)
-    _add_view_flags(p)
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("verify-oracle", help="check a log against the brute-force oracle")
-    p.add_argument("--log", required=True, help="ledger.ndjson")
-    _add_view_flags(p)
+    p = sub.add_parser(
+        "verify-oracle", parents=[view], help="check a log against the brute-force oracle"
+    )
     p.set_defaults(func=cmd_verify_oracle)
 
     return parser

@@ -8,7 +8,6 @@ digest is stored, serialized as 64-char lower-case hex.
 from __future__ import annotations
 
 import hashlib
-import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -24,8 +23,8 @@ HashedDeviceId = str
 
 STANDARD_CURRENCY = "STD"
 
-#: Largest amount that is still a finite double.
-_MAX_AMOUNT = sys.float_info.max
+#: Largest finite double.
+_MAX_FINITE = sys.float_info.max
 
 
 class Role(str, Enum):
@@ -87,17 +86,15 @@ class ExchangeTable:
     """
 
     rates: Mapping[str, float] = field(default_factory=dict)
-    standard: str = STANDARD_CURRENCY
 
     def __post_init__(self) -> None:
         rates = dict(self.rates)
-        std_rate = rates.setdefault(self.standard, 1.0)
-        if std_rate != 1.0:
-            raise InvalidArgument(f"standard currency {self.standard!r} must have rate 1")
+        if rates.setdefault(STANDARD_CURRENCY, 1.0) != 1.0:
+            raise InvalidArgument(f"standard currency {STANDARD_CURRENCY!r} must have rate 1")
         for code, rate in rates.items():
             if not isinstance(code, str) or not code:
                 raise InvalidArgument(f"currency code must be a non-empty string, got {code!r}")
-            if not math.isfinite(rate) or rate <= 0:
+            if not is_real(rate) or rate <= 0:
                 raise InvalidArgument(f"exchange rate for {code!r} must be finite and positive")
         object.__setattr__(self, "rates", rates)
 
@@ -108,13 +105,17 @@ class ExchangeTable:
             raise UnknownCurrency(f"no exchange rate for currency {currency!r}") from None
 
 
-def is_amount(value) -> bool:
-    """True if ``value`` can be a money amount.
+def is_real(value) -> bool:
+    """True if ``value`` is a finite built-in ``int`` or ``float`` (a ``bool`` is neither).
 
-    That is a built-in ``int`` or ``float`` (a ``bool`` is neither), finite and
-    >= 0. Such a value writes to the log as the JSON number it reads back as.
+    Such a value writes to JSON as the number it reads back as.
     """
-    return (type(value) is float or type(value) is int) and 0 <= value <= _MAX_AMOUNT
+    return (type(value) is float or type(value) is int) and -_MAX_FINITE <= value <= _MAX_FINITE
+
+
+def is_amount(value) -> bool:
+    """True if ``value`` can be a money amount: ``is_real`` and >= 0."""
+    return is_real(value) and value >= 0
 
 
 def chain_id_error(chain_id) -> str | None:

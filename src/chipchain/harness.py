@@ -46,10 +46,10 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .domain import EntityId, ExchangeTable, Role
+from .domain import EntityId, ExchangeTable, is_real
 from .errors import InvalidConfig
 from .files import atomic_write
-from .ledger import PenaltyTrace
+from .ledger import TRANSFER_ROLES, PenaltyTrace
 from .reputation import ObserverView, ReputationEngine, ReputationParams
 from .simulator import (
     BehaviorProfile,
@@ -62,13 +62,9 @@ from .simulator import (
     replay,
 )
 
-#: Roles whose members actually sell parts; consortium aggregates cover these.
-SELLING_ROLES = (
-    Role.CHIPLET_MANUFACTURER,
-    Role.CHIPLET_DISTRIBUTOR,
-    Role.IC_MANUFACTURER,
-    Role.IC_DISTRIBUTOR,
-)
+#: Roles whose members actually sell parts, those that may start a transfer;
+#: consortium aggregates cover these.
+SELLING_ROLES = frozenset().union(*TRANSFER_ROLES.values())
 
 DEFAULT_STRIDE = 1000
 
@@ -92,7 +88,6 @@ UNTRUSTED_DEFECT_PROB = 0.005
 class Series:
     """One sampled reputation trajectory."""
 
-    label: str
     txn_index: np.ndarray
     r: np.ndarray
     normalized: np.ndarray
@@ -201,13 +196,13 @@ def _check_curve_inputs(
 ) -> None:
     """Raise ``InvalidConfig`` unless every single-seller curve input is in range."""
     for name, value, low in (("n_txn", n_txn, 1), ("stride", stride, 1), ("seed", seed, 0)):
-        if not isinstance(value, int) or value < low:
+        if type(value) is not int or value < low:
             raise InvalidConfig(f"{name} must be an integer >= {low}, got {value!r}")
     for m in rates:
-        if not math.isfinite(m) or m <= 0:
+        if not is_real(m) or m <= 0:
             raise InvalidConfig(f"decrease rate must be finite and > 0, got {m!r}")
     for p in probs:
-        if not 0.0 <= p <= 1.0:  # also false for NaN
+        if not is_real(p) or not 0.0 <= p <= 1.0:
             raise InvalidConfig(f"defect probability must be in [0, 1], got {p!r}")
         if math.copysign(1.0, p) < 0.0:
             # -0.0 equals 0.0 as a curve key but prints as -0 in labels and
@@ -254,7 +249,7 @@ def run_basic(
         for p, cell in defects.items():
             idx, r, norm = fold_single_seller(cell, n_txn, m, stride)
             meta = {"m": m, "defect_prob": p, "seed": seed, "n": n_txn}
-            series = Series(f"m={m:g} p={p:g}", idx, r, norm, meta)
+            series = Series(idx, r, norm, meta)
             curves[(m, p)] = series
             if out_dir is not None:
                 path = Path(out_dir) / f"basic_m{m:g}_p{p:g}_seed{seed}.csv"
@@ -279,7 +274,7 @@ def run_attack(
     trajectory identical to the benign one.
     """
     _check_curve_inputs(n_txn, seed, stride, [decrease_rate], [benign_p, *malicious_ps])
-    if not isinstance(switch_at, int) or not 0 <= switch_at < n_txn:
+    if type(switch_at) is not int or not 0 <= switch_at < n_txn:
         raise InvalidConfig(f"switch_at must be an integer in [0, {n_txn}), got {switch_at!r}")
     if not malicious_ps:
         raise InvalidConfig("at least one malicious level is required")
@@ -304,7 +299,7 @@ def run_attack(
             "m": decrease_rate,
             "n": n_txn,
         }
-        curves[label] = Series(label, idx, r, norm, meta)
+        curves[label] = Series(idx, r, norm, meta)
         if out_dir is not None:
             path = Path(out_dir) / f"attack_{label}_seed{seed}.csv"
             write_series_csv(path, curves[label], behavior=label)
@@ -360,7 +355,7 @@ class EndToEndResult:
         return {chain: float(np.mean(vals)) for chain, vals in sorted(sums.items())}
 
 
-def aggregate_by_consortium(result: ReplayResult, topology: Topology) -> AggregateSeries:
+def aggregate_by_consortium(result: ReplayResult) -> AggregateSeries:
     groups: dict[tuple[str, str], list[int]] = {}
     for j, eid in enumerate(result.sample_entities):
         entity = result.ledger.entities[eid]
@@ -404,7 +399,7 @@ def run_end_to_end(
     engine = ReputationEngine(topology.view, params)
     with collector_paused():
         result = replay(generate_stream(topology, cfg, behaviors), engine, sample_stride=stride)
-    aggregate = aggregate_by_consortium(result, topology)
+    aggregate = aggregate_by_consortium(result)
     out = EndToEndResult(topology, result, aggregate, engine)
     if out_dir is not None:
         write_aggregate_csv(

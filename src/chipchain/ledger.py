@@ -33,11 +33,12 @@ currency) are derived from those records where they are read, by reports,
 adjudications, ``provenance`` and ``state_json``. A record's amounts follow its
 sorted ids, so a part's amount sits at its id's position.
 
-A confirm or reject repeats the buyer, part type and ids of the transfer it
-closes, so the log stores that transfer record again at its position, with a
-one-byte mark, instead of a tuple of its own. ``log_records`` reads the list
-through the marks and rebuilds ``(op, caller, type, ids)`` at a marked
-position; ``log_lines`` and ``state_json`` read the list and the marks directly.
+Confirm and reject close a transfer through one body, ``_close``, which refuses
+all but the buyer, part type and ids of a pending transfer. So the log stores
+that transfer record again at the closing position, with a one-byte mark,
+instead of a tuple of its own. ``log_records`` reads the list through the marks
+and rebuilds ``(op, caller, type, ids)`` at a marked position; ``log_lines`` and
+``state_json`` read the list and the marks directly.
 
 Read-only verification never touches the log: looking up an unknown id emits a
 suspicious-device flag into a side event list and nothing else.
@@ -407,15 +408,18 @@ class Ledger:
         for hid in id_tuple:
             parts[hid].status = _IN_TRANSIT
 
-    def _find_pending(
-        self, caller: EntityId, part_type: str, ids: tuple[HashedDeviceId, ...]
+    def _close(
+        self, caller: EntityId, part_type: str, ids: tuple[HashedDeviceId, ...], mark: int
     ) -> tuple:
-        """The transfer record pending on exactly ``ids`` (sorted, no duplicates) to ``caller``."""
+        """Log the transfer pending on ``ids`` (sorted, distinct) to ``caller`` as ``mark``."""
         rec = self._pending.get(ids)
         if rec is None or rec[2] != part_type:
             raise NotFound("no matching pending transfer for these ids")
         if rec[4] != caller:
             raise PermissionDenied(f"{caller!r} is not the destination of this transfer")
+        self._log.append(rec)
+        self._marks.append(mark)
+        del self._pending[ids]
         return rec
 
     def confirm_transfer(
@@ -424,18 +428,14 @@ class Ledger:
         id_tuple = _sorted_ids(ids)
         if n != len(id_tuple):
             raise CountMismatch(f"declared {n} units, got {len(id_tuple)} ids")
-        rec = self._find_pending(caller, part_type, id_tuple)
-        id_tuple = rec[5]
-        self._log.append(rec)
-        self._marks.append(_CONFIRMED)
-        del self._pending[id_tuple]
+        rec = self._close(caller, part_type, id_tuple, _CONFIRMED)
         entities = self._entities
         src_chain = entities[rec[3]].chain
         dst_chain = entities[caller].chain
         if src_chain != dst_chain:
             self._get_or_create_meta(src_chain, dst_chain)
         parts = self._parts
-        for hid in id_tuple:
+        for hid in rec[5]:
             part = parts[hid]
             part.owner = caller
             part.status = _OWNED
@@ -445,13 +445,8 @@ class Ledger:
         self, caller: EntityId, part_type: str, ids: Iterable[HashedDeviceId]
     ) -> None:
         """Decline a pending transfer, returning the parts to their owner."""
-        rec = self._find_pending(caller, part_type, _sorted_ids(ids))
-        id_tuple = rec[5]
-        self._log.append(rec)
-        self._marks.append(_REJECTED)
-        del self._pending[id_tuple]
-        for hid in id_tuple:
-            self._parts[hid].status = PartStatus.OWNED
+        for hid in self._close(caller, part_type, _sorted_ids(ids), _REJECTED)[5]:
+            self._parts[hid].status = _OWNED
 
     # -- cross-chain meta-entities ----------------------------------------------
 
@@ -519,7 +514,6 @@ class Ledger:
             part = parts[hid]
             part.status = PartStatus.CONSUMED
             part.consumed_into = ic_id
-        return None
 
     def report(self, caller: EntityId, ids: Iterable[HashedDeviceId], result: int) -> str:
         """File a verification report: 0 = pass, 1 = fail.

@@ -35,7 +35,6 @@ Two penalty forms are supported:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -46,6 +45,7 @@ from .domain import (
     EntityId,
     ExchangeTable,
     Role,
+    is_real,
 )
 from .errors import InvalidArgument
 
@@ -64,9 +64,9 @@ class ReputationParams:
     penalty_form: str = "rate"
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.decrease_rate) or self.decrease_rate <= 0:
+        if not is_real(self.decrease_rate) or self.decrease_rate <= 0:
             raise InvalidArgument("decrease_rate must be finite and positive")
-        if not math.isfinite(self.trusted_discount) or self.trusted_discount < 1:
+        if not is_real(self.trusted_discount) or self.trusted_discount < 1:
             raise InvalidArgument("trusted_discount must be finite and >= 1")
         if self.penalty_form not in PENALTY_FORMS:
             raise InvalidArgument(f"penalty_form must be one of {PENALTY_FORMS}")

@@ -45,6 +45,7 @@ from .domain import (
     chain_id_error,
     hash_device_id,
     is_amount,
+    is_real,
 )
 from .errors import ChipchainError, InvalidConfig
 from .ledger import Ledger, PartKind
@@ -82,6 +83,12 @@ class SimConfig:
     cross_chain_prob: float = 0.15
     rng_seed: int = 0
 
+    def __post_init__(self) -> None:
+        # A config read from JSON holds lists where the fields declare tuples.
+        object.__setattr__(self, "chains", tuple(map(tuple, self.chains)))
+        object.__setattr__(self, "hop_range", tuple(self.hop_range))
+        self.validate()
+
     def validate(self) -> None:
         counts = {
             "chiplet_mfrs": self.chiplet_mfrs,
@@ -93,18 +100,18 @@ class SimConfig:
             "chiplets_per_ic": self.chiplets_per_ic,
         }
         for name, value in counts.items():
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:
                 raise InvalidConfig(f"{name} must be an integer >= 1, got {value!r}")
-        if not isinstance(self.rng_seed, int) or self.rng_seed < 0:
+        if type(self.rng_seed) is not int or self.rng_seed < 0:
             raise InvalidConfig(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
-        if not math.isfinite(self.markup_pct) or self.markup_pct < 0:
+        if not is_amount(self.markup_pct):
             raise InvalidConfig(f"markup_pct must be a finite number >= 0, got {self.markup_pct!r}")
         if not is_amount(self.base_unit_cost):
             raise InvalidConfig(
                 f"base_unit_cost must be a finite number >= 0, got {self.base_unit_cost!r}"
             )
         lo, hi = self.hop_range
-        if not isinstance(lo, int) or not isinstance(hi, int) or lo < 1 or hi < lo:
+        if type(lo) is not int or type(hi) is not int or lo < 1 or hi < lo:
             raise InvalidConfig(f"hop_range must be integers 1 <= lo <= hi, got {self.hop_range}")
         if hi - lo + 1 > 2**32:  # the hop count is one draw below the span
             raise InvalidConfig(f"hop_range spans more than 2**32 hop counts, got {self.hop_range}")
@@ -113,21 +120,24 @@ class SimConfig:
         markups = 2 * hi + 1
         try:
             top = (1.0 + self.markup_pct / 100.0) ** markups
+            top *= self.base_unit_cost * self.chiplets_per_ic
         except OverflowError:
             top = math.inf
-        if not math.isfinite(self.base_unit_cost * self.chiplets_per_ic * top):
+        if not math.isfinite(top):
             raise InvalidConfig(
                 f"markup_pct {self.markup_pct!r} overflows prices within {markups} markups"
             )
-        if not 0.0 <= self.cross_chain_prob <= 1.0:
+        if not is_real(self.cross_chain_prob) or not 0.0 <= self.cross_chain_prob <= 1.0:
             raise InvalidConfig("cross_chain_prob must be in [0, 1]")
         if not self.chains:
             raise InvalidConfig("at least one chain is required")
-        names = [c for c, _ in self.chains]
-        for name in names:
+        for name, trusted in self.chains:
             error = chain_id_error(name)
             if error is not None:
                 raise InvalidConfig(error)
+            if type(trusted) is not bool:
+                raise InvalidConfig(f"chain {name!r} trust flag must be a boolean, got {trusted!r}")
+        names = [c for c, _ in self.chains]
         if len(set(names)) != len(names):
             raise InvalidConfig("chain ids must be unique")
         if not any(trusted for _, trusted in self.chains):
@@ -143,13 +153,14 @@ class BehaviorProfile:
     post_switch_prob: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.defect_prob <= 1.0:
+        if not is_real(self.defect_prob) or not 0.0 <= self.defect_prob <= 1.0:
             raise InvalidConfig("defect_prob must be in [0, 1]")
         if (self.switch_at is None) != (self.post_switch_prob is None):
             raise InvalidConfig("switch_at and post_switch_prob must be given together")
-        if self.switch_at is not None and not isinstance(self.switch_at, int):
+        if self.switch_at is not None and type(self.switch_at) is not int:
             raise InvalidConfig(f"switch_at must be an integer, got {self.switch_at!r}")
-        if self.post_switch_prob is not None and not 0.0 <= self.post_switch_prob <= 1.0:
+        post = self.post_switch_prob
+        if post is not None and (not is_real(post) or not 0.0 <= post <= 1.0):
             raise InvalidConfig("post_switch_prob must be in [0, 1]")
 
     def prob_at(self, txn_index: int) -> float:
@@ -183,7 +194,6 @@ def build_topology(cfg: SimConfig) -> Topology:
     Entities of each role are partitioned round-robin across the configured
     chains. One trusted authority is created per chain.
     """
-    cfg.validate()
     chain_names = [c for c, _ in cfg.chains]
     trusted = frozenset(c for c, t in cfg.chains if t)
 
@@ -348,7 +358,6 @@ def generate_stream(
     to it, so the hop that spends the budget ends the stream: the lifecycle it
     cuts draws nothing more, and its part simply remains in flight.
     """
-    cfg.validate()
     if behaviors is None:
         behaviors = assign_behaviors(topology)
     for eid in topology.manufacturer_ids():

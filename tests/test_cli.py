@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from chipchain.cli import main
+from chipchain.cli import load_config, main
 
 SMALL_CONFIG = {
     "sim": {
@@ -265,11 +265,12 @@ class TestMalformedConfigs:
             (small_config_with("sim", {"assignment": {"cm001": "UC-1"}}),
              "unknown sim config keys: ['assignment']"),
             (small_config_with("simulation", {}), "unknown config section 'simulation'"),
-            (small_config_with("reputation", {"decrease_rate": "0.1"}), "not str"),
+            (small_config_with("reputation", {"decrease_rate": "0.1"}),
+             "decrease_rate must be finite and positive"),
             (small_config_with("sim", {"n_transactions": "400"}),
              "n_transactions must be an integer >= 1, got '400'"),
             (small_config_with("sim", {"rng_seed": -1}), "rng_seed must be an integer >= 0"),
-            (small_config_with("behaviors", {"uniform_p": "0.1"}), "not supported"),
+            (small_config_with("behaviors", {"uniform_p": "0.1"}), "defect_prob must be in [0, 1]"),
             (small_config_with("sim", {"hop_range": 2}), "not iterable"),
             (small_config_with("behaviors", {"sleepers": {"cm001": 5}}), "cannot unpack"),
             (small_config_with("behaviors", {"sleepers": {"cm001": ["9", 0.5]}}),
@@ -293,6 +294,33 @@ class TestMalformedConfigs:
              "markup_pct must be a finite number >= 0, got inf"),
             (small_config_with("sim", {"markup_pct": 1e60}),
              "markup_pct 1e+60 overflows prices within 7 markups"),
+            # A JSON true or false is no number, and a JSON string is no trust flag.
+            (small_config_with("sim", {"n_transactions": True}),
+             "n_transactions must be an integer >= 1, got True"),
+            (small_config_with("sim", {"rng_seed": False}),
+             "rng_seed must be an integer >= 0, got False"),
+            (small_config_with("sim", {"hop_range": [True, 3]}),
+             "hop_range must be integers 1 <= lo <= hi, got (True, 3)"),
+            (small_config_with("sim", {"cross_chain_prob": True}),
+             "cross_chain_prob must be in [0, 1]"),
+            (small_config_with("sim", {"markup_pct": True}),
+             "markup_pct must be a finite number >= 0, got True"),
+            (small_config_with("sim", {"chains": [["TC-1", "false"], ["UC-1", False]]}),
+             "chain 'TC-1' trust flag must be a boolean, got 'false'"),
+            (small_config_with("behaviors", {"uniform_p": True}), "defect_prob must be in [0, 1]"),
+            (small_config_with("behaviors", {"sleepers": {"cm001": [False, 0.5]}}),
+             "switch_at must be an integer, got False"),
+            (small_config_with("behaviors", {"sleepers": {"cm001": [5, True]}}),
+             "post_switch_prob must be in [0, 1]"),
+            (small_config_with("reputation", {"decrease_rate": True}),
+             "decrease_rate must be finite and positive"),
+            (small_config_with("reputation", {"trusted_discount": True}),
+             "trusted_discount must be finite and >= 1"),
+            # Integers beyond the double range, which no float conversion may meet.
+            (small_config_with("reputation", {"decrease_rate": 10**400}),
+             "decrease_rate must be finite and positive"),
+            (small_config_with("sim", {"chiplets_per_ic": 10**400}),
+             "markup_pct 10.0 overflows prices within 7 markups"),
         ],
         ids=[
             "unknown_reputation_key", "reputation_exchange", "unknown_behaviors_key",
@@ -301,7 +329,10 @@ class TestMalformedConfigs:
             "scalar_sleeper", "string_switch_at", "section_not_object", "top_level_array",
             "bad_json", "separator_chain_id", "meta_prefix_chain_id", "numeric_chain_id",
             "bool_base_unit_cost", "object_base_unit_cost", "nan_markup", "inf_markup",
-            "overflowing_markup",
+            "overflowing_markup", "bool_n_transactions", "bool_rng_seed", "bool_hop_range",
+            "bool_cross_chain_prob", "bool_markup", "string_trust_flag", "bool_uniform_p",
+            "bool_switch_at", "bool_post_switch_prob", "bool_decrease_rate",
+            "bool_trusted_discount", "huge_int_decrease_rate", "huge_int_chiplets_per_ic",
         ],
     )
     def test_diagnosed_with_path(self, tmp_path, capsys, command, text, message):
@@ -316,6 +347,11 @@ class TestMalformedConfigs:
     def test_negative_seed_flag_without_config(self, tmp_path, capsys):
         assert run(["simulate", "--seed", "-1", "--out", tmp_path]) == 1
         assert capsys.readouterr().err == "error: rng_seed must be an integer >= 0, got -1\n"
+
+    def test_seed_flag_replaces_an_invalid_file_seed(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(small_config_with("sim", {"rng_seed": -1}))
+        assert load_config(str(config), 3)[0].rng_seed == 3
 
 
 VALID_PREFIX = '{"op":"chain","id":"TB"}\n{"op":"entity","id":"ta","role":"TA","chain":"TB"}\n'

@@ -150,7 +150,7 @@ class TestMoneyAndTable:
         with pytest.raises(InvalidArgument, match="currency code"):
             ExchangeTable({code: 2.0})
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, 10**400])
     def test_non_finite_rate_rejected(self, value):
         with pytest.raises(InvalidArgument):
             ExchangeTable({"EUR": value})

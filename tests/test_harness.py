@@ -250,6 +250,14 @@ class TestRunBasic:
         with pytest.raises(InvalidConfig):
             run_basic([0.01], [0.1], 0, seed=0)
 
+    @pytest.mark.parametrize(
+        "m_values, probs, n_txn",
+        [([0.01], [True], 100), ([True], [0.1], 100), ([0.01], [0.1], True)],
+    )
+    def test_bool_inputs_rejected(self, m_values, probs, n_txn):
+        with pytest.raises(InvalidConfig):
+            run_basic(m_values, probs, n_txn, seed=0)
+
 
 class TestRunAttack:
     def test_sleeper_tracks_benign_before_switch(self):
@@ -284,6 +292,8 @@ class TestRunAttack:
     def test_bad_switch_rejected(self):
         with pytest.raises(InvalidConfig):
             run_attack(0.001, [0.002], 10_000, 10_000, seed=0)
+        with pytest.raises(InvalidConfig, match="switch_at"):
+            run_attack(0.001, [0.01], False, 100, seed=0)
 
     def test_no_malicious_level_rejected(self):
         with pytest.raises(InvalidConfig):

@@ -1037,6 +1037,10 @@ class TestPreconditions:
              Conflict, "report 'R000002' already adjudicated"),
             (("adjudicate", "ta", "R000003", (B,), ()),
              InvalidArgument, "defective ids must be a subset of the report's ids"),
+            # Confirm and reject close a transfer through one body.
+            (("confirm", "cd", "ic", (E,)), NotFound, "no matching pending transfer for these ids"),
+            (("reject", "cd", "ic", (E,)), NotFound, "no matching pending transfer for these ids"),
+            (("reject", "cd", "ch", (A,)), NotFound, "no matching pending transfer for these ids"),
         ],
         ids=[
             "transfer_role", "transfer_owner", "transfer_status", "transfer_count",
@@ -1044,7 +1048,7 @@ class TestPreconditions:
             "devices_role", "devices_status", "consume_role", "consume_owner", "consume_status",
             "report_role", "report_owner", "report_status", "report_count", "report_kinds",
             "adjudicate_role", "adjudicate_chain", "adjudicate_status", "adjudicate_twice",
-            "adjudicate_count",
+            "adjudicate_count", "confirm_type", "reject_type", "reject_status",
         ],
     )
     def test_error_type_and_message(self, rec, error, message):

@@ -6,6 +6,10 @@ adjudications) by attempting random operations and skipping the ones that
 fail validation; failed calls must leave no trace, so the surviving log
 exercises replay determinism far beyond the happy path.
 
+``load_config`` is fuzzed one key at a time with arbitrary JSON values: it
+either refuses the file with ``InvalidConfig`` or loads numbers and flags of
+the types the program computes with.
+
 Metamorphic relations check how scores must change when a log or a view
 changes in a known way, which the oracle cannot check when it shares a
 misreading with the engine: doubling every amount doubles every r and r_ideal
@@ -14,12 +18,17 @@ changes no score, and trusting more chains lowers no r and leaves every r_ideal
 as it is.
 """
 
+import json
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chipchain.cli import CONFIG_KEYS, load_config
 from chipchain.domain import STANDARD_TABLE, Entity, ExchangeTable, Money, Role, hash_device_id
-from chipchain.errors import ChipchainError
+from chipchain.errors import ChipchainError, InvalidConfig
 from chipchain.harness import oracle_max_deviation, oracle_recompute
 from chipchain.ledger import Ledger, PartKind, PartStatus, _encode_record, load_log_records
 from chipchain.reputation import (
@@ -450,3 +459,54 @@ def test_a_currency_worth_half_at_twice_the_amounts_scores_the_same(seed):
     assert any(0 < r < r_ideal for r, r_ideal in base.values())
     assert half == base
     assert half_oracle == base_oracle
+
+
+#: The small world each fuzzed key is written into. A key goes into its own
+#: section, every other key keeps its default, and the ``behaviors`` section
+#: is present only when one of its keys is fuzzed, so a large population never
+#: meets it (``load_config`` builds the topology only for that section).
+FUZZ_SIM = {
+    "chiplet_mfrs": 4, "chiplet_dists": 8, "ic_mfrs": 3, "ic_dists": 6, "si_count": 3,
+    "chains": [["TC-1", True], ["UC-1", False]],
+}
+FUZZ_KEYS = sorted((section, key) for section, keys in CONFIG_KEYS.items() for key in keys)
+_NAMES = st.sampled_from(["TC-1", "UC-1", "cm001", "icm001"]) | st.text(max_size=4)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -(10**400)])
+    | st.floats() | _NAMES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_NAMES, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _is_number(value) -> bool:
+    """A finite built-in int or float, never a bool."""
+    return type(value) in (int, float) and -sys.float_info.max <= value <= sys.float_info.max
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(FUZZ_KEYS), JSON_VALUES)
+def test_load_config_refuses_or_loads_typed_values(tmp_path_factory, section_key, value):
+    section, key = section_key
+    config = {"sim": dict(FUZZ_SIM)}
+    config.setdefault(section, {})[key] = value
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(config))
+    try:
+        cfg, behaviors, params = load_config(str(path), None)
+    except InvalidConfig as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return
+    counts = [getattr(cfg, name) for name in (
+        "chiplet_mfrs", "chiplet_dists", "ic_mfrs", "ic_dists", "si_count", "n_transactions",
+        "chiplets_per_ic", "rng_seed")]
+    assert all(type(n) is int for n in [*counts, *cfg.hop_range])
+    reals = [cfg.markup_pct, cfg.base_unit_cost, cfg.cross_chain_prob,
+             params.decrease_rate, params.trusted_discount]
+    for profile in (behaviors or {}).values():
+        reals.append(profile.defect_prob)
+        if profile.switch_at is not None:
+            assert type(profile.switch_at) is int
+            reals.append(profile.post_switch_prob)
+    assert all(_is_number(x) for x in reals)
+    assert all(type(trusted) is bool for _, trusted in cfg.chains)

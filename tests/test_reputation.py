@@ -318,6 +318,10 @@ class TestParamsValidation:
             ReputationParams(trusted_discount=0.5)
         with pytest.raises(InvalidArgument):
             ReputationParams(penalty_form="other")
+        with pytest.raises(InvalidArgument):
+            ReputationParams(decrease_rate=True)
+        with pytest.raises(InvalidArgument):
+            ReputationParams(trusted_discount=True)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["decrease_rate", "trusted_discount"])

@@ -107,6 +107,11 @@ class TestAssignBehaviors:
         with pytest.raises(InvalidConfig):
             BehaviorProfile(0.1, switch_at=5)
 
+    @pytest.mark.parametrize("args", [(True,), ("0.1",), (0.1, True, 0.5), (0.1, 5, True)])
+    def test_bools_and_strings_rejected(self, args):
+        with pytest.raises(InvalidConfig):
+            BehaviorProfile(*args)
+
 
 class TestProbAt:
     """The defect probability of a part fabricated at a stream position."""
@@ -446,11 +451,29 @@ class TestConfigValidation:
             {"chains": ()},
             {"chains": (("A", False),)},
             {"chains": (("A", True), ("A", False))},
+            # A bool is neither a count nor a number, and a trust flag is a bool.
+            {"n_transactions": True},
+            {"rng_seed": False},
+            {"hop_range": (True, 3)},
+            {"markup_pct": True},
+            {"cross_chain_prob": True},
+            {"chains": (("A", 1),)},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(InvalidConfig):
             SimConfig(**kwargs).validate()
+
+    def test_checked_when_built(self):
+        with pytest.raises(InvalidConfig, match="n_transactions"):
+            SimConfig(n_transactions=0)
+        with pytest.raises(InvalidConfig, match="rng_seed"):
+            dataclasses.replace(SMALL, rng_seed=-1)
+
+    def test_lists_become_tuples(self):
+        cfg = SimConfig(chains=[["A", True], ["B", False]], hop_range=[1, 2])
+        assert cfg.chains == (("A", True), ("B", False))
+        assert cfg.hop_range == (1, 2)
 
     def test_hop_span_beyond_one_draw_rejected(self):
         # A hop count is one draw below the span, exact only up to 2**32.
