@@ -409,13 +409,13 @@ MUTANTS = [
     ),
     Mutant(
         "collector_left_paused",
-        "an entry point restores the collector setting it found",
-        ((HARNESS, "        if was_enabled:\n            gc.enable()\n", "        pass\n"),),
+        "cli.main restores the collector setting it found",
+        ((CLI, "        if was_enabled:\n            gc.enable()\n", "        pass\n"),),
     ),
     Mutant(
         "collector_never_paused",
-        "the entry points run their work with the collector paused",
-        ((HARNESS, "    gc.disable()\n", "    pass\n"),),
+        "cli.main runs a command with the collector paused",
+        ((CLI, "    gc.disable()\n", "    pass\n"),),
     ),
     Mutant(
         "engine_back_reference",
@@ -488,6 +488,46 @@ MUTANTS = [
           "                        credit(seller, amount)\n"),
          (ORACLE, "credit(seller, amount * rates[currency], ideal_only=True)",
           "credit(seller, amount, ideal_only=True)")),
+    ),
+    Mutant(
+        "stride_sign_unchecked",
+        "a sample stride is an integer >= 0",
+        ((SIMULATOR, "    if type(sample_stride) is not int or sample_stride < 0:\n",
+          "    if type(sample_stride) is not int:\n"),),
+    ),
+    Mutant(
+        "log_nesting_uncaught",
+        "a log line nested too deeply ends in one line naming its path and line",
+        ((LEDGER, "AttributeError, RecursionError, InvalidArgument",
+          "AttributeError, InvalidArgument"),),
+    ),
+    Mutant(
+        "config_nesting_uncaught",
+        "a config nested too deeply ends in one line naming its path",
+        ((CLI, "    except (ValueError, RecursionError) as exc:\n",
+          "    except ValueError as exc:\n"),),
+    ),
+    Mutant(
+        "config_pair_shape_unchecked",
+        "a config pair or list of pairs of the wrong shape is refused by its field's name",
+        ((SIMULATOR, "    return isinstance(value, (list, tuple)) and len(value) == 2\n",
+          "    return True\n"),),
+    ),
+    Mutant(
+        "meta_destination_allowed",
+        "a meta-entity is never a transfer destination",
+        ((LEDGER, "        if dst_entity.role is _META:\n", "        if False:\n"),),
+    ),
+    Mutant(
+        "chain_added_twice",
+        "a chain is registered once",
+        ((LEDGER, "        if chain_id in self._chains:\n", "        if False:\n"),),
+    ),
+    Mutant(
+        "consume_into_non_ic",
+        "chiplets are consumed only into an IC",
+        ((LEDGER, "        if types[ic.part_type].kind is not PartKind.IC:\n",
+          "        if False:\n"),),
     ),
 ]
 

@@ -11,18 +11,22 @@ Subcommands:
   verify-oracle check a ledger log against the brute-force recompute
 
 Every run is reproducible from its flags and seed; output files carry the
-parameters in a leading comment line. Exit codes: 0 on success, 1 with a
-one-line diagnostic on failure, 2 on usage errors.
+parameters in a leading comment line. Only ``main`` touches the garbage
+collector: it pauses it around each command. Exit codes: 0 on success, 1
+with a one-line diagnostic on failure, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import gc
 import inspect
 import json
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from .errors import ChipchainError, InvalidConfig, NotFound
 from .files import atomic_write
@@ -33,11 +37,11 @@ from .harness import (
     DEFAULT_STRIDE,
     ORACLE_TOLERANCE,
     EndToEndResult,
-    collector_paused,
     oracle_max_deviation,
     run_attack,
     run_basic,
     run_end_to_end,
+    write_aggregate_csv,
     write_scores_csv,
     write_traces,
 )
@@ -64,6 +68,10 @@ def load_config(
     """
     try:
         raw = json.loads(Path(path).read_bytes()) if path else {}
+    except (ValueError, RecursionError) as exc:
+        reason = "nested too deeply" if isinstance(exc, RecursionError) else exc
+        raise InvalidConfig(f"{path}: invalid JSON: {reason}") from None
+    try:
         if not isinstance(raw, dict):
             raise InvalidConfig("config must be a JSON object")
         for name, section in raw.items():
@@ -81,7 +89,7 @@ def load_config(
         params = ReputationParams(**raw.get("reputation", {}))
         spec = raw.get("behaviors")
         behaviors = assign_behaviors(build_topology(cfg), **spec) if spec else None
-    except (ChipchainError, TypeError, ValueError, AttributeError) as exc:
+    except ChipchainError as exc:
         raise InvalidConfig(f"{path}: {exc}" if path else str(exc)) from None
     return cfg, behaviors, params
 
@@ -104,20 +112,19 @@ def view_from_flags(args, chains) -> ObserverView:
     return ObserverView(observer, trusted | {observer})
 
 
-def _run_config(args, out_dir: Path | None = None) -> tuple[SimConfig, EndToEndResult]:
-    """Run the world of ``--config`` and ``--seed`` through ``run_end_to_end``."""
+def _run_config(args, stride: int) -> tuple[Path, SimConfig, EndToEndResult]:
+    """Run the world of ``--config`` and ``--seed``; save its log in ``--out``, returned first."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     cfg, behaviors, params = load_config(args.config, args.seed)
-    result = run_end_to_end(
-        cfg, behaviors=behaviors, params=params, stride=args.stride, out_dir=out_dir
-    )
-    return cfg, result
+    result = run_end_to_end(cfg, behaviors=behaviors, params=params, stride=stride)
+    result.replay.ledger.save_log(out / "ledger.ndjson")
+    return out, cfg, result
 
 
 def cmd_simulate(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg, result = _run_config(args)
-    result.replay.ledger.save_log(out / "ledger.ndjson")
+    # None of the files written here holds reputation samples, so none are taken.
+    out, cfg, result = _run_config(args, stride=0)
     write_scores_csv(
         out / "scores.csv", result.engine, {"seed": cfg.rng_seed, "n": cfg.n_transactions}
     )
@@ -147,9 +154,12 @@ def cmd_basic(args) -> int:
 
 
 def cmd_end_to_end(args) -> int:
-    out = Path(args.out)
-    cfg, result = _run_config(args, out_dir=out)
-    result.replay.ledger.save_log(out / "ledger.ndjson")
+    out, cfg, result = _run_config(args, stride=args.stride)
+    write_aggregate_csv(
+        out / f"end_to_end_seed{cfg.rng_seed}.csv",
+        result.aggregate,
+        {"n": cfg.n_transactions, "seed": cfg.rng_seed},
+    )
     write_scores_csv(out / "scores.csv", result.engine, {"seed": cfg.rng_seed})
     for chain, mean in result.consortium_final_normalized().items():
         print(f"{chain} mean_normalized={mean:.6f}")
@@ -231,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     world.add_argument("--config", help="JSON config file")
     world.add_argument("--seed", type=int, help="override the config seed")
     world.add_argument("--out", required=True, help="output directory")
-    world.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
     curve.add_argument("--n", type=int, required=True, help="number of transactions")
     curve.add_argument("--seed", type=int, required=True)
     curve.add_argument("--out", help="output directory for CSVs")
@@ -257,6 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_basic)
 
     p = sub.add_parser("end-to-end", parents=[world], help="full supply-chain simulation")
+    p.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
     p.set_defaults(func=cmd_end_to_end)
 
     p = sub.add_parser("attack", parents=[curve], help="benign / malicious / sleeper comparison")
@@ -284,13 +294,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def collector_paused() -> Iterator[None]:
+    """Run the block with the cyclic garbage collector paused.
+
+    The program builds no reference cycles, so reference counting frees all
+    it makes and a collection pass over a large world finds nothing. The
+    setting is process-wide, so only ``main`` pauses it, never the library.
+    The collector is re-enabled only if it was on before, so pauses nest and
+    an error restores it too.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         with collector_paused():
             return args.func(args)
-    except (ChipchainError, OSError, json.JSONDecodeError) as exc:
+    except (ChipchainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

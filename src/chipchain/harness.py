@@ -16,7 +16,7 @@ Three experiment families are covered:
               against the same scenario driven through the full ledger.
   end_to_end  full pipeline: build a population, generate a stream, replay it
               against a ledger with a reputation engine attached, and
-              aggregate reputation by consortium and role.
+              aggregate reputation by consortium and role; it writes no file.
   attack      benign, malicious, and sleeper behaviors for a single seller,
               sharing one uniform stream and one block-wise threshold pass
               per seed. A sleeper's defects are the benign positions up to its
@@ -35,14 +35,12 @@ parameters and seed, a header row, then fixed-point values with six decimals.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-import gc
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -311,25 +309,6 @@ def run_attack(
 # ---------------------------------------------------------------------------
 
 
-@contextlib.contextmanager
-def collector_paused() -> Iterator[None]:
-    """Run the block with the cyclic garbage collector paused.
-
-    The program builds no reference cycles, so reference counting frees all
-    it makes and a collection pass over a large world finds nothing. The
-    setting is process-wide, so only the entry points pause it (``cli.main``
-    and ``run_end_to_end``), never the library. The collector is re-enabled
-    only if it was on before, so pauses nest and an error restores it too.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 @dataclass
 class AggregateSeries:
     """Mean and 95th-percentile reputation per (consortium, role) over time."""
@@ -381,7 +360,6 @@ def run_end_to_end(
     seed: int | None = None,
     params: ReputationParams | None = None,
     stride: int = DEFAULT_STRIDE,
-    out_dir: str | Path | None = None,
 ) -> EndToEndResult:
     """Full pipeline: topology, stream, replay, consortium aggregation.
 
@@ -397,17 +375,8 @@ def run_end_to_end(
         per_chain = {chain: UNTRUSTED_DEFECT_PROB for chain, trusted in cfg.chains if not trusted}
         behaviors = assign_behaviors(topology, per_chain=per_chain)
     engine = ReputationEngine(topology.view, params)
-    with collector_paused():
-        result = replay(generate_stream(topology, cfg, behaviors), engine, sample_stride=stride)
-    aggregate = aggregate_by_consortium(result)
-    out = EndToEndResult(topology, result, aggregate, engine)
-    if out_dir is not None:
-        write_aggregate_csv(
-            Path(out_dir) / f"end_to_end_seed{cfg.rng_seed}.csv",
-            aggregate,
-            {"n": cfg.n_transactions, "seed": cfg.rng_seed},
-        )
-    return out
+    result = replay(generate_stream(topology, cfg, behaviors), engine, sample_stride=stride)
+    return EndToEndResult(topology, result, aggregate_by_consortium(result), engine)
 
 
 # ---------------------------------------------------------------------------

@@ -1073,13 +1073,17 @@ def load_log_records(path) -> list[tuple]:
                         # decoding unshared reports the line as its first bad field.
                         record = _obj_to_record(obj, _checked)
                     records.append(record)
-            except (ValueError, TypeError, KeyError, AttributeError, InvalidArgument) as exc:
+            except (
+                ValueError, TypeError, KeyError, AttributeError, RecursionError, InvalidArgument
+            ) as exc:
                 raise InvalidArgument(f"{path}:{lineno}: {_line_error(obj, exc)}") from None
     return records
 
 
 def _line_error(obj, exc: Exception) -> str:
     """Diagnostic for a failed line; ``obj`` is its JSON value once that has decoded."""
+    if isinstance(exc, RecursionError):
+        return "invalid JSON: nested too deeply"
     if isinstance(exc, UnicodeDecodeError):
         return f"not valid UTF-8 at byte {exc.start}"
     if isinstance(exc, json.JSONDecodeError):

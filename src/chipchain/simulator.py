@@ -60,6 +60,11 @@ _ROLE_PREFIX = {
 }
 
 
+def _is_pair(value) -> bool:
+    """True if ``value`` is a list or tuple of two items, as a JSON pair reads."""
+    return isinstance(value, (list, tuple)) and len(value) == 2
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Population sizes, chain layout, economics, and the stream seed."""
@@ -84,6 +89,12 @@ class SimConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.chains, (list, tuple)) or not all(map(_is_pair, self.chains)):
+            raise InvalidConfig(
+                f"chains must be a list of [id, trusted] pairs, got {self.chains!r}"
+            )
+        if not _is_pair(self.hop_range):
+            raise InvalidConfig(f"hop_range must be a [lo, hi] pair, got {self.hop_range!r}")
         # A config read from JSON holds lists where the fields declare tuples.
         object.__setattr__(self, "chains", tuple(map(tuple, self.chains)))
         object.__setattr__(self, "hop_range", tuple(self.hop_range))
@@ -118,15 +129,15 @@ class SimConfig:
         # The largest price generate_stream can write: chiplets bought after hi
         # markups each, built into an IC marked up once, then hi more markups.
         markups = 2 * hi + 1
+        culprit = f"markup_pct {self.markup_pct!r}"
         try:
-            top = (1.0 + self.markup_pct / 100.0) ** markups
+            top = (1.0 + self.markup_pct / 100.0) ** markups  # finite, or it raises
+            culprit = "base_unit_cost * chiplets_per_ic"
             top *= self.base_unit_cost * self.chiplets_per_ic
         except OverflowError:
             top = math.inf
         if not math.isfinite(top):
-            raise InvalidConfig(
-                f"markup_pct {self.markup_pct!r} overflows prices within {markups} markups"
-            )
+            raise InvalidConfig(f"{culprit} overflows prices within {markups} markups")
         if not is_real(self.cross_chain_prob) or not 0.0 <= self.cross_chain_prob <= 1.0:
             raise InvalidConfig("cross_chain_prob must be in [0, 1]")
         if not self.chains:
@@ -241,6 +252,9 @@ def assign_behaviors(
     per consortium, and ``sleepers`` maps entities to (switch_at,
     post_switch_prob) pairs for benign-then-malicious behavior.
     """
+    for name, value in (("per_chain", per_chain), ("sleepers", sleepers)):
+        if value is not None and not isinstance(value, Mapping):
+            raise InvalidConfig(f"{name} must be a mapping, got {value!r}")
     per_chain = dict(per_chain or {})
     sleepers = dict(sleepers or {})
     known_chains = set(topology.chain_of.values())
@@ -253,7 +267,12 @@ def assign_behaviors(
     for eid in sorted(manufacturer_ids):
         p = per_chain.get(topology.chain_of[eid], uniform_p)
         if eid in sleepers:
-            switch_at, post_p = sleepers[eid]
+            pair = sleepers[eid]
+            if not _is_pair(pair):
+                raise InvalidConfig(
+                    f"sleeper {eid!r} must be a [switch_at, post_switch_prob] pair, got {pair!r}"
+                )
+            switch_at, post_p = pair
             profiles[eid] = BehaviorProfile(p, switch_at=switch_at, post_switch_prob=post_p)
         else:
             profiles[eid] = BehaviorProfile(p)
@@ -491,9 +510,12 @@ def replay(
     This is the one way a log becomes a ledger. With an engine attached and a
     nonzero ``sample_stride``, the engine is sampled each time the running
     count of confirm records hits a multiple of the stride (plus once at
-    stream end), for every non-meta entity known at the first sample. A
-    ``ChipchainError`` from a record names the record's 1-based position.
+    stream end), for every non-meta entity known at the first sample. A stride
+    that is not an integer >= 0 raises ``InvalidConfig``. A ``ChipchainError``
+    from a record names the record's 1-based position.
     """
+    if type(sample_stride) is not int or sample_stride < 0:
+        raise InvalidConfig(f"stride must be an integer >= 0, got {sample_stride!r}")
     ledger = Ledger()
     if engine is not None:
         ledger.attach(engine)

@@ -49,6 +49,12 @@ class TestUsageErrors:
             run([])
         assert exc.value.code == 2
 
+    def test_simulate_takes_no_stride(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", "--out", tmp_path, "--stride", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --stride 5" in capsys.readouterr().err
+
 
 class TestBasicCommand:
     def test_happy_path_writes_csv(self, tmp_path, capsys):
@@ -217,6 +223,17 @@ class TestSimulatePipeline:
 
 
 class TestEndToEndCommand:
+    @pytest.mark.parametrize("stride", ["-3000", "-1"])
+    def test_negative_stride_is_refused(self, tmp_path, config_file, capsys, stride):
+        argv = ["end-to-end", "--config", config_file, "--out", tmp_path, "--stride", stride]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: stride must be an integer >= 0, got {stride}\n"
+
+    def test_zero_stride_writes_no_rows(self, tmp_path, config_file):
+        assert run(["end-to-end", "--config", config_file, "--out", tmp_path, "--stride", "0"]) == 0
+        lines = (tmp_path / "end_to_end_seed11.csv").read_text().splitlines()
+        assert [line[0] for line in lines] == ["#", "t"]
+
     def test_happy_path(self, tmp_path, config_file, capsys):
         out = tmp_path / "e2e"
         code = run(["end-to-end", "--config", config_file, "--out", out])
@@ -271,8 +288,10 @@ class TestMalformedConfigs:
              "n_transactions must be an integer >= 1, got '400'"),
             (small_config_with("sim", {"rng_seed": -1}), "rng_seed must be an integer >= 0"),
             (small_config_with("behaviors", {"uniform_p": "0.1"}), "defect_prob must be in [0, 1]"),
-            (small_config_with("sim", {"hop_range": 2}), "not iterable"),
-            (small_config_with("behaviors", {"sleepers": {"cm001": 5}}), "cannot unpack"),
+            (small_config_with("sim", {"hop_range": 2}),
+             "hop_range must be a [lo, hi] pair, got 2"),
+            (small_config_with("behaviors", {"sleepers": {"cm001": 5}}),
+             "sleeper 'cm001' must be a [switch_at, post_switch_prob] pair, got 5"),
             (small_config_with("behaviors", {"sleepers": {"cm001": ["9", 0.5]}}),
              "switch_at must be an integer"),
             (json.dumps({"sim": [1, 2]}), "config section 'sim' must be a JSON object"),
@@ -320,7 +339,18 @@ class TestMalformedConfigs:
             (small_config_with("reputation", {"decrease_rate": 10**400}),
              "decrease_rate must be finite and positive"),
             (small_config_with("sim", {"chiplets_per_ic": 10**400}),
-             "markup_pct 10.0 overflows prices within 7 markups"),
+             "base_unit_cost * chiplets_per_ic overflows prices within 7 markups"),
+            # Each field of a pair or a mapping is refused by name when its shape is wrong.
+            (small_config_with("sim", {"hop_range": [1, 2, 3]}),
+             "hop_range must be a [lo, hi] pair, got [1, 2, 3]"),
+            (small_config_with("sim", {"chains": 5}),
+             "chains must be a list of [id, trusted] pairs, got 5"),
+            (small_config_with("sim", {"chains": [["TC-1", True, 3]]}),
+             "chains must be a list of [id, trusted] pairs, got [['TC-1', True, 3]]"),
+            (small_config_with("behaviors", {"per_chain": [["UC-1", 0.1]]}),
+             "per_chain must be a mapping, got [['UC-1', 0.1]]"),
+            ('{"sim": ' + "[" * 100_000 + "]" * 100_000 + "}",
+             "invalid JSON: nested too deeply"),
         ],
         ids=[
             "unknown_reputation_key", "reputation_exchange", "unknown_behaviors_key",
@@ -333,6 +363,8 @@ class TestMalformedConfigs:
             "bool_cross_chain_prob", "bool_markup", "string_trust_flag", "bool_uniform_p",
             "bool_switch_at", "bool_post_switch_prob", "bool_decrease_rate",
             "bool_trusted_discount", "huge_int_decrease_rate", "huge_int_chiplets_per_ic",
+            "three_hop_range", "scalar_chains", "three_element_chain", "list_per_chain",
+            "deep_sim",
         ],
     )
     def test_diagnosed_with_path(self, tmp_path, capsys, command, text, message):
@@ -389,10 +421,14 @@ class TestMalformedLogs:
             (b'{"op":"entity","id":5,"role":"CM","chain":"TB"}', "expected a string, got 5"),
             (b'{"op":"devices","maker":"ta","type":"t","ids":[[1]]}', "expected a string, got [1]"),
             (b'{"op":"type","name":3,"kind":"chiplet","maker":"ta"}', "expected a string, got 3"),
+            (b"[" * 100_000 + b"]" * 100_000, "invalid JSON: nested too deeply"),
+            (b'{"op":"transfer","kind":"chiplet","type":"t","src":"ta","dst":"ta","ids":[],'
+             b'"amounts":5,"currency":"STD"}',
+             "malformed log record: 'int' object is not iterable"),
         ],
         ids=[
             "bad_json", "not_object", "unknown_op", "missing_field", "bad_utf8",
-            "numeric_id", "nested_ids", "numeric_name",
+            "numeric_id", "nested_ids", "numeric_name", "deep_nesting", "scalar_amounts",
         ],
     )
     def test_decode_errors_name_path_and_line(self, tmp_path, capsys, command, line, message):
@@ -611,9 +647,9 @@ class TestGoldenOutputs:
     def test_outputs_match_recorded_digests(self, tmp_path):
         config = tmp_path / "golden.json"
         config.write_text(json.dumps(GOLDEN_CONFIG))
-        for command, out in (("simulate", "sim"), ("end-to-end", "e2e")):
-            argv = [command, "--config", config, "--out", tmp_path / out, "--stride", "50"]
-            assert run(argv) == 0
+        for argv in (["simulate", "--out", tmp_path / "sim"],
+                     ["end-to-end", "--out", tmp_path / "e2e", "--stride", "50"]):
+            assert run([*argv, "--config", config]) == 0
         for argv in GOLDEN_CURVE_RUNS:
             assert run([*argv, "--out", tmp_path / argv[0]]) == 0
         penalties = (tmp_path / "sim/penalties.ndjson").read_text().splitlines()

@@ -1,11 +1,12 @@
-"""The program builds no reference cycles, and its entry points restore the collector.
+"""The program builds no reference cycles, and only ``cli.main`` pauses the collector.
 
-``cli.main`` and ``run_end_to_end`` pause the cyclic garbage collector while
-they work, which is sound only because reference counting frees everything the
-program makes. The first test holds the program to that: with the collector
-off, a defect-heavy cross-chain world goes through the write and the read path,
-and a collection afterwards must find nothing. The others check that the pause
-covers the work and that the collector's setting is restored on every exit.
+``cli.main`` pauses the cyclic garbage collector while a command works, which
+is sound only because reference counting frees everything the program makes.
+The first test holds the program to that: with the collector off, a
+defect-heavy cross-chain world goes through the write and the read path, and a
+collection afterwards must find nothing. The others check that the pause covers
+a command's work, that the collector's setting is restored on every exit, and
+that the library leaves the setting as its caller made it.
 """
 
 import gc
@@ -101,7 +102,7 @@ class TestCollectorRestored:
         assert gc.isenabled() is collector
 
 
-def test_commands_and_replay_run_with_the_collector_paused(monkeypatch):
+def test_commands_and_replay_run_with_the_collector_paused(monkeypatch, tmp_path):
     seen = []
 
     def observed(func):
@@ -112,9 +113,13 @@ def test_commands_and_replay_run_with_the_collector_paused(monkeypatch):
 
     monkeypatch.setattr(cli, "run_basic", observed(harness.run_basic))
     monkeypatch.setattr(harness, "replay", observed(harness.replay))
+    config = tmp_path / "config.json"
+    config.write_text('{"sim": {"n_transactions": 50}}')
     gc.enable()
     assert cli.main(["basic", "--n", "100", "--seed", "0", "--m", "0.01",
                      "--defect-prob", "0.01"]) == 0
+    assert cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 0
+    # The library leaves the collector as its caller set it.
     run_end_to_end(SimConfig(n_transactions=50))
-    assert seen == [("run_basic", False), ("replay", False)]
+    assert seen == [("run_basic", False), ("replay", False), ("replay", True)]
     assert gc.isenabled()

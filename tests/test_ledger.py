@@ -960,12 +960,13 @@ class TestUnknownOperation:
         assert ledger.state_json() == state
 
 
-A, B, C, D, E, F, G, IC = (c * 64 for c in "abcdef01")
+A, B, C, D, E, F, G, IC, IC2, IC3 = (c * 64 for c in "abcdef0123")
 
 #: One world for every precondition: A at cd; B, C and D at icm, where B has
 #: passed its report (R000001), C failed R000002 and was found defective, and D
 #: failed R000003, not yet adjudicated; E is on its way from cm to cd; F is
-#: still at cm; icm holds the IC.
+#: still at cm; icm holds IC, IC2 is on its way to icd on chain TB, and IC3
+#: crossed to icd, which made the meta-entity X^TA_TB.
 PRECONDITION_WORLD = [
     ("chain", "TA"),
     ("chain", "TB"),
@@ -974,10 +975,11 @@ PRECONDITION_WORLD = [
     ("entity", "icm", "ICM", "TA"),
     ("entity", "ta", "TA", "TA"),
     ("entity", "tb", "TA", "TB"),
+    ("entity", "icd", "ICD", "TB"),
     ("type", "ch", "chiplet", "cm"),
     ("type", "ic", "ic", "icm"),
     ("devices", "cm", "ch", (A, B, C, D, E, F)),
-    ("devices", "icm", "ic", (IC,)),
+    ("devices", "icm", "ic", (IC, IC2, IC3)),
     ("transfer", "chiplet", "ch", "cm", "cd", (A,), (1.0,), "STD"),
     ("confirm", "cd", "ch", (A,)),
     ("transfer", "chiplet", "ch", "cm", "icm", (B, C, D), (1.0, 1.0, 1.0), "STD"),
@@ -987,6 +989,9 @@ PRECONDITION_WORLD = [
     ("adjudicate", "ta", "R000002", (C,), ()),
     ("report", "icm", (D,), 1),
     ("transfer", "chiplet", "ch", "cm", "cd", (E,), (1.0,), "STD"),
+    ("transfer", "ic", "ic", "icm", "icd", (IC3,), (1.0,), "STD"),
+    ("confirm", "icd", "ic", (IC3,)),
+    ("transfer", "ic", "ic", "icm", "icd", (IC2,), (1.0,), "STD"),
 ]
 
 
@@ -1041,6 +1046,25 @@ class TestPreconditions:
             (("confirm", "cd", "ic", (E,)), NotFound, "no matching pending transfer for these ids"),
             (("reject", "cd", "ic", (E,)), NotFound, "no matching pending transfer for these ids"),
             (("reject", "cd", "ch", (A,)), NotFound, "no matching pending transfer for these ids"),
+            # Lookups and world setup.
+            (("report", "nobody", (A,), 0), NotFound, "unknown entity 'nobody'"),
+            (("devices", "cm", "nope", (G,)), NotFound, "unknown part type 'nope'"),
+            (("chain", "TA"), AlreadyExists, "chain 'TA' already registered"),
+            (("entity", "cm", "CM", "TA"), AlreadyExists, "entity 'cm' already registered"),
+            (("entity", "x", "CM", "TC"), NotFound, "unknown chain 'TC'"),
+            (("type", "", "chiplet", "cm"), InvalidArgument, "type name must be non-empty"),
+            (("devices", "cm", "ch", ()), InvalidArgument, "no device ids supplied"),
+            (("transfer", "chiplet", "ch", "cd", "X^TA_TB", (A,), (1.0,), "STD"),
+             InvalidArgument, "meta-entities cannot be a transfer destination"),
+            (("transfer", "ic", "ic", "icm", "icd", (D,), (1.0,), "STD"),
+             InvalidArgument, f"device '{D}' is not of type 'ic'"),
+            (("consume", "icm", (), IC), InvalidArgument, "no chiplet ids supplied"),
+            (("consume", "icm", (B,), D), InvalidArgument, f"'{D}' is not an IC"),
+            (("consume", "icm", (B,), IC3), NotOwner, f"'icm' does not own IC '{IC3}'"),
+            (("consume", "icm", (B,), IC2), Conflict, f"IC '{IC2}' is in_transit"),
+            (("consume", "icm", (IC,), IC), InvalidArgument, f"'{IC}' is not a chiplet"),
+            (("adjudicate", "ta", "R000003", (D,), ((B, A),)),
+             InvalidArgument, f"origin given for non-defective part '{B}'"),
         ],
         ids=[
             "transfer_role", "transfer_owner", "transfer_status", "transfer_count",
@@ -1049,6 +1073,10 @@ class TestPreconditions:
             "report_role", "report_owner", "report_status", "report_count", "report_kinds",
             "adjudicate_role", "adjudicate_chain", "adjudicate_status", "adjudicate_twice",
             "adjudicate_count", "confirm_type", "reject_type", "reject_status",
+            "entity_unknown", "type_unknown", "chain_twice", "entity_twice", "entity_chain",
+            "type_empty", "devices_count", "transfer_meta", "transfer_type", "consume_count",
+            "consume_not_ic", "consume_ic_owner", "consume_ic_status", "consume_not_chiplet",
+            "adjudicate_origin",
         ],
     )
     def test_error_type_and_message(self, rec, error, message):
@@ -1082,6 +1110,16 @@ class TestPreconditions:
         for rec in PRECONDITION_WORLD:
             ledger.apply_record(rec)
         assert list(ledger.log_records()) == PRECONDITION_WORLD
+
+    def test_a_crossed_meta_entity_without_reputation_reads_zero_and_one(self):
+        ledger = Ledger()
+        engine = ledger.attach(
+            ReputationEngine(ObserverView("TA", frozenset({"TA"})), ReputationParams())
+        )
+        for rec in PRECONDITION_WORLD:
+            ledger.apply_record(rec)
+        assert ledger.entities["X^TA_TB"].role is Role.META_ENTITY
+        assert engine.chain_reputation("X^TA_TB") == (0.0, 1.0)
 
 
 class TestRecordIdentity:

@@ -103,6 +103,18 @@ class TestAssignBehaviors:
         with pytest.raises(InvalidConfig):
             assign_behaviors(topo, sleepers={"ghost": (1, 0.5)})
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"per_chain": [("UC-1", 0.1)]}, "per_chain must be a mapping"),
+         ({"sleepers": [("cm001", (1, 0.5))]}, "sleepers must be a mapping"),
+         ({"sleepers": {"cm001": 5}}, "sleeper 'cm001' must be a [switch_at, post_switch_prob]"),
+         ({"sleepers": {"cm001": (1, 0.5, 2)}}, "sleeper 'cm001' must be a")],
+    )
+    def test_shapes_checked_by_field(self, kwargs, message):
+        with pytest.raises(InvalidConfig) as exc:
+            assign_behaviors(build_topology(SMALL), **kwargs)
+        assert str(exc.value).startswith(message)
+
     def test_switch_fields_must_pair(self):
         with pytest.raises(InvalidConfig):
             BehaviorProfile(0.1, switch_at=5)
@@ -275,6 +287,13 @@ class TestReplay:
         assert result.sample_r.shape == (4, len(result.sample_entities))
         metas = [e for e in result.sample_entities if e.startswith("X^")]
         assert metas == []
+
+    @pytest.mark.parametrize("stride", [-3000, 2.5, True, None])
+    def test_invalid_stride_rejected(self, stride):
+        topo = build_topology(SMALL)
+        with pytest.raises(InvalidConfig) as exc:
+            replay(generate_stream(topo, SMALL), engine=make_engine(topo), sample_stride=stride)
+        assert str(exc.value) == f"stride must be an integer >= 0, got {stride!r}"
 
     @pytest.mark.parametrize(
         "stride, rows", [(0, 0), (10 * SMALL.n_transactions, 1), (100, 4)],
@@ -458,6 +477,12 @@ class TestConfigValidation:
             {"markup_pct": True},
             {"cross_chain_prob": True},
             {"chains": (("A", 1),)},
+            # A pair, or a list of pairs, of the wrong shape.
+            {"chains": 5},
+            {"chains": (("A", True, 3),)},
+            {"chains": ("AB",)},
+            {"hop_range": 2},
+            {"hop_range": (1, 2, 3)},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
