@@ -529,6 +529,35 @@ MUTANTS = [
         ((LEDGER, "        if types[ic.part_type].kind is not PartKind.IC:\n",
           "        if False:\n"),),
     ),
+    Mutant(
+        "generator_prices_shared_by_value",
+        "the generator shares only amounts of nonzero floats, so 100 and -0.0 keep their bytes",
+        ((SIMULATOR, "            if type(amount) is float and amount:\n",
+          "            if True:\n"),),
+    ),
+    Mutant(
+        "decoder_amounts_shared_by_value",
+        "decoding shares only amounts of nonzero floats, so 1, true and -0.0 keep their bytes",
+        ((LEDGER, "        if type(amount) is not float or not amount or amount != amount:\n",
+          "        if False:\n"),),
+    ),
+    Mutant(
+        "report_id_not_round_tripped",
+        "only the exact id of a filed report names it",
+        ((LEDGER, '        if not 0 < k <= len(self._reports) or f"R{k:06d}" != report_id:\n',
+          "        if not 0 < k <= len(self._reports):\n"),),
+    ),
+    Mutant(
+        "oracle_drops_nan",
+        "a non-finite reputation on either side is an infinite oracle deviation",
+        ((ORACLE, "        if not all(map(math.isfinite, (rep.r, rep.r_ideal, o_r, o_ideal))):\n",
+          "        if False:\n"),),
+    ),
+    Mutant(
+        "sleeper_without_switch_point",
+        "a sleeper needs an integer switch point",
+        ((SIMULATOR, "            if type(switch_at) is not int:\n", "            if False:\n"),),
+    ),
 ]
 
 

@@ -474,13 +474,19 @@ def oracle_max_deviation(
     engine: ReputationEngine,
     records: Iterable[tuple],
 ) -> float:
-    """Max relative deviation between the engine and a from-scratch recompute."""
+    """Max relative deviation between the engine and a from-scratch recompute.
+
+    A non-finite r or r_ideal on either side makes it infinite: ``max`` would
+    drop a NaN, and ``inf - inf`` is NaN.
+    """
     oracle = oracle_recompute(records, engine.params, engine.view, engine.exchange)
     worst = 0.0
     ids = set(oracle) | set(engine.known_entities())
     for eid in ids:
         rep = engine.reputation(eid)
         o_r, o_ideal = oracle.get(eid, (0.0, 0.0))
+        if not all(map(math.isfinite, (rep.r, rep.r_ideal, o_r, o_ideal))):
+            return math.inf
         worst = max(worst, relative_deviation(rep.r, o_r), relative_deviation(rep.r_ideal, o_ideal))
     return worst
 

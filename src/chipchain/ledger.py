@@ -18,7 +18,7 @@ tuple with a ``str`` kind, a sorted ``tuple`` of ids without duplicates and a
 ledger it builds; other input is logged as an equal canonical record.
 
 Nothing here builds a reference cycle (an engine never holds its ledger), so
-reference counting frees it all and the entry points pause the cyclic collector.
+reference counting frees it all; only ``cli.main`` pauses the cyclic collector.
 
 Device transfers are two-phase: the seller initiates, parts are locked in
 transit, and ownership moves only when the named destination confirms. A
@@ -39,6 +39,11 @@ that transfer record again at the closing position, with a one-byte mark,
 instead of a tuple of its own. ``log_records`` reads the list through the marks
 and rebuilds ``(op, caller, type, ids)`` at a marked position; ``log_lines`` and
 ``state_json`` read the list and the marks directly.
+
+Reports are numbered by position: the ledger keeps their records in a list in
+filing order, and report ``k`` (1-based) has the id ``f"R{k:06d}"``, which
+``report`` returns and ``adjudicate`` parses back. Only that exact string names
+the report, so ``R1`` and ``R0000001`` name none.
 
 Read-only verification never touches the log: looking up an unknown id emits a
 suspicious-device flag into a side event list and nothing else.
@@ -193,10 +198,10 @@ class Ledger:
         self._types: dict[str, PartType] = {}
         self._parts: dict[HashedDeviceId, PartRecord] = {}
         # Each operation is stored once, as its log record: the transfer record
-        # of each pending ids tuple, and the report and adjudicate record of
-        # each report id.
+        # of each pending ids tuple, the report records in filing order, and
+        # the adjudicate record of each report id.
         self._pending: dict[tuple[HashedDeviceId, ...], tuple] = {}
-        self._reports: dict[str, tuple] = {}
+        self._reports: list[tuple] = []
         self._adjudications: dict[str, tuple] = {}
         self._meta: dict[tuple[ChainId, ChainId], EntityId] = {}
         # A confirm or reject is stored as the transfer record it closes, and
@@ -516,7 +521,7 @@ class Ledger:
             part.consumed_into = ic_id
 
     def report(self, caller: EntityId, ids: Iterable[HashedDeviceId], result: int) -> str:
-        """File a verification report: 0 = pass, 1 = fail.
+        """File a verification report: 0 = pass, 1 = fail. Returns its id, ``R000001`` first.
 
         A pass immediately rewards every seller along each part's path and
         marks the parts verified. A fail defers to the chain's trusted
@@ -545,8 +550,7 @@ class Ledger:
         rec = ("report", caller, id_tuple, result)
         self._log.append(rec)
         self._marks.append(0)
-        report_id = f"R{len(self._reports) + 1:06d}"
-        self._reports[report_id] = rec
+        self._reports.append(rec)
         if result == 0:
             engine = self.engine
             for hid in id_tuple:
@@ -554,7 +558,7 @@ class Ledger:
                 part.status = _VERIFIED_OK
                 if engine is not None:
                     engine.lifecycle_passed(self._edges(part))
-        return report_id
+        return f"R{len(self._reports):06d}"
 
     def adjudicate(
         self,
@@ -574,10 +578,15 @@ class Ledger:
         ta_entity = self.entity(ta)
         if ta_entity.role is not Role.TRUSTED_AUTHORITY:
             raise PermissionDenied(f"{ta!r} is not a trusted authority")
-        report = self._reports.get(report_id)
-        if report is None:
+        try:
+            k = int(report_id[1:])
+        except (TypeError, ValueError):
+            k = 0
+        # int() reads the number of "R1", "R 1", "R0_1" or other digits too, so
+        # only the id that the number writes back names the report.
+        if not 0 < k <= len(self._reports) or f"R{k:06d}" != report_id:
             raise NotFound(f"unknown report {report_id!r}")
-        _, reporter, report_ids, result = report
+        _, reporter, report_ids, result = self._reports[k - 1]
         if self._entities[reporter].chain != ta_entity.chain:
             raise PermissionDenied("adjudicating TA must sit on the reporter's chain")
         if result != 1:
@@ -679,7 +688,9 @@ class Ledger:
             "transactions": self._transaction_rows(),
             "reports": [
                 self._report_row(report_id, rec)
-                for report_id, rec in sorted(self._reports.items())
+                for report_id, rec in sorted(
+                    (f"R{k:06d}", rec) for k, rec in enumerate(self._reports, start=1)
+                )
             ],
             "meta_entities": [
                 {"src": src, "dst": dst, "id": meta_id}
@@ -966,7 +977,8 @@ def _obj_to_record(obj: dict, share) -> tuple:
             kind, part_type, src, dst = obj["kind"], obj["type"], obj["src"], obj["dst"]
             return (
                 "transfer", share(kind), share(part_type), share(src), share(dst),
-                _id_tuple(obj, "ids", share), tuple(obj["amounts"]), share(obj["currency"]),
+                _id_tuple(obj, "ids", share), _amounts(obj["amounts"], share),
+                share(obj["currency"]),
             )
         case "confirm" | "reject" as op:
             caller, part_type = obj["caller"], obj["type"]
@@ -1012,11 +1024,27 @@ def _id_tuple(obj: dict, key: str, share) -> tuple[str, ...]:
     return share(tuple(map(share, value)))
 
 
+def _amounts(value, share) -> tuple:
+    """The amounts field ``value`` as a tuple, shared when each amount is a nonzero float.
+
+    Equal nonzero floats write the same ``repr``, so sharing them keeps every
+    byte of the log. ``1`` and ``1.0``, ``true`` and ``1``, and ``0.0`` and
+    ``-0.0`` are equal but do not, and the decoder reads every ``NaN`` as one
+    object, so none of those is shared.
+    """
+    amounts = tuple(value)
+    for amount in amounts:
+        if type(amount) is not float or not amount or amount != amount:
+            return amounts
+    return share(amounts)
+
+
 def _checked(value):
-    """``value`` if it is a ``str`` or a tuple of them; anything else is no string field.
+    """``value`` if it is a ``str`` or a tuple; anything else is no string field.
 
     A decoded JSON value is never a tuple: the only tuples here are id tuples
-    that ``_id_tuple`` built from strings that passed this check.
+    that ``_id_tuple`` built from strings that passed this check, and amounts
+    tuples of nonzero floats from ``_amounts``.
     """
     if type(value) is str or type(value) is tuple:
         return value
@@ -1024,7 +1052,7 @@ def _checked(value):
 
 
 class _Shared(dict):
-    """The names and id tuples of one log file, each stored under itself.
+    """The names, id tuples and float amounts tuples of one log file, each stored under itself.
 
     ``shared[value]`` is the first value equal to ``value`` that the file
     decoded, so equal fields of different records are one object and a hit is
@@ -1047,9 +1075,10 @@ def load_log_records(path) -> list[tuple]:
     scanner behind ``json.loads``; a line it does not take whole as one JSON
     value is handed to ``json.loads``, so the error it reports is unchanged.
 
-    Within one file, equal names and equal id tuples are one object: a hashed
-    id occurs in about nine records. The table that shares them belongs to
-    this call, so nothing is shared between files or kept after a failed load.
+    Within one file, equal names, equal id tuples and equal amounts tuples of
+    nonzero floats are one object: a hashed id occurs in about nine records,
+    and a default world sells at 19 prices. The table that shares them belongs
+    to this call, so nothing is shared between files or kept after a failed load.
     """
     records = []
     obj = None

@@ -273,6 +273,10 @@ def assign_behaviors(
                     f"sleeper {eid!r} must be a [switch_at, post_switch_prob] pair, got {pair!r}"
                 )
             switch_at, post_p = pair
+            if type(switch_at) is not int:
+                raise InvalidConfig(
+                    f"sleeper {eid!r} switch_at must be an integer, got {switch_at!r}"
+                )
             profiles[eid] = BehaviorProfile(p, switch_at=switch_at, post_switch_prob=post_p)
         else:
             profiles[eid] = BehaviorProfile(p)
@@ -376,6 +380,12 @@ def generate_stream(
     ``cfg.n_transactions`` hops. Each hop's partner is drawn as the part ships
     to it, so the hop that spends the budget ends the stream: the lifecycle it
     cuts draws nothing more, and its part simply remains in flight.
+
+    Transfers at equal nonzero float prices share one amounts tuple, so a world
+    holds each distinct price once (a default world has 19). Equal nonzero
+    floats write the same ``repr``; an int price (the first sale at an int
+    ``base_unit_cost``) and a zero of either sign equal a float that writes
+    otherwise, so they are never shared.
     """
     if behaviors is None:
         behaviors = assign_behaviors(topology)
@@ -410,6 +420,8 @@ def generate_stream(
     txns = 0
     reports = 0
     budget = cfg.n_transactions
+    # The amounts tuple of each nonzero float price, made at its first sale.
+    prices: dict[float, tuple[float]] = {}
     # Verified chiplets waiting at each IC manufacturer: (chiplet id, acquisition cost).
     ic_pools: dict[EntityId, list[tuple[str, float]]] = {
         icm: [] for icm in topology.by_role[Role.IC_MANUFACTURER]
@@ -436,7 +448,10 @@ def generate_stream(
                 # verifier lands on it again and draws nothing, so skip them.
                 left = 0 if role in lone else left - 1
                 continue
-            yield ("transfer", kind, type_name, holder, nxt, ids, (amount,), currency)
+            amounts = (amount,)
+            if type(amount) is float and amount:
+                amounts = prices.setdefault(amount, amounts)
+            yield ("transfer", kind, type_name, holder, nxt, ids, amounts, currency)
             yield ("confirm", nxt, type_name, ids)
             txns += 1
             holder, paid = nxt, amount

@@ -351,6 +351,8 @@ class TestMalformedConfigs:
              "per_chain must be a mapping, got [['UC-1', 0.1]]"),
             ('{"sim": ' + "[" * 100_000 + "]" * 100_000 + "}",
              "invalid JSON: nested too deeply"),
+            (small_config_with("behaviors", {"sleepers": {"cm001": [None, None]}}),
+             "sleeper 'cm001' switch_at must be an integer, got None"),
         ],
         ids=[
             "unknown_reputation_key", "reputation_exchange", "unknown_behaviors_key",
@@ -364,7 +366,7 @@ class TestMalformedConfigs:
             "bool_switch_at", "bool_post_switch_prob", "bool_decrease_rate",
             "bool_trusted_discount", "huge_int_decrease_rate", "huge_int_chiplets_per_ic",
             "three_hop_range", "scalar_chains", "three_element_chain", "list_per_chain",
-            "deep_sim",
+            "deep_sim", "null_sleeper",
         ],
     )
     def test_diagnosed_with_path(self, tmp_path, capsys, command, text, message):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -413,6 +414,31 @@ class TestOracle:
         engine = ledger.engine
         engine._rep["maker"].r += 1.0
         assert oracle_max_deviation(engine, ledger.log_records()) > 1e-9
+
+    @pytest.mark.parametrize(
+        "engine_rep, oracle_rep",
+        [((math.nan, 3.0), (3.0, 3.0)), ((3.0, math.nan), (3.0, 3.0)),
+         ((math.inf, 3.0), (3.0, 3.0)), ((3.0, math.inf), (3.0, 3.0)),
+         ((3.0, 3.0), (math.nan, 3.0)), ((3.0, 3.0), (3.0, math.nan)),
+         ((3.0, 3.0), (math.inf, 3.0)), ((3.0, 3.0), (3.0, math.inf)),
+         ((math.inf, 3.0), (math.inf, 3.0))],
+        ids=["engine_r_nan", "engine_ideal_nan", "engine_r_inf", "engine_ideal_inf",
+             "oracle_r_nan", "oracle_ideal_nan", "oracle_r_inf", "oracle_ideal_inf", "both_inf"],
+    )
+    def test_a_non_finite_reputation_is_an_infinite_deviation(
+        self, monkeypatch, engine_rep, oracle_rep
+    ):
+        # max(0.0, nan) is 0.0, and inf against a finite number or inf is nan:
+        # a fold by max alone would report each of these as agreement.
+        _, _, _, ledger = ledger_single_seller(np.zeros(3, dtype=bool), 0.1, stride=10)
+        engine = ledger.engine
+        assert oracle_max_deviation(engine, ledger.log_records()) == 0.0
+        engine._rep["maker"].r, engine._rep["maker"].r_ideal = engine_rep
+        recompute = harness.oracle_recompute
+        monkeypatch.setattr(
+            harness, "oracle_recompute", lambda *args: {**recompute(*args), "maker": oracle_rep}
+        )
+        assert oracle_max_deviation(engine, ledger.log_records()) == math.inf
 
 
 class TestCsvExport:

@@ -509,6 +509,27 @@ class TestReportAndAdjudication:
         with pytest.raises(InvalidArgument):
             self.ledger.adjudicate("ta-tb", rid, [hid("other")])
 
+    @pytest.mark.parametrize(
+        "report_id",
+        ["R1", "R0000001", "r000001", "R\u0660\u0660\u0660\u0660\u0660\u0661", "R000000",
+         "R000002", "R 00001", "R00000_1", "R+00001", 1, None, b"R000001", ["R000001"]],
+        ids=["short", "seven_digits", "lower_case", "arabic_indic_digits", "zero", "unfiled",
+             "space", "underscore", "plus", "int", "none", "bytes", "list"],
+    )
+    def test_only_a_filed_reports_exact_id_names_it(self, report_id):
+        # Each of these reads back as a number, or as none; only the id that
+        # report() returned names the report.
+        rid = self.ledger.report("icm1", self.chiplets, 1)
+        assert rid == "R000001"
+        length, state = self.ledger.log_length(), self.ledger.state_json()
+        with pytest.raises(NotFound) as exc:
+            self.ledger.adjudicate("ta-tb", report_id, [])
+        assert str(exc.value) == f"unknown report {report_id!r}"
+        assert self.ledger.log_length() == length
+        assert self.ledger.state_json() == state
+        self.ledger.adjudicate("ta-tb", rid, [])
+        assert report_row(self.ledger, rid)["ta_outcome"] == []
+
 
 class TestTrustedCrossing:
     """A sale between two trusted chains: the meta hop never uses up a discount step."""
@@ -1307,8 +1328,9 @@ def hashed_id_strings() -> int:
     return sum(1 for trace in tracemalloc.take_snapshot().traces if trace.size == size)
 
 
-def names_and_id_tuples(records):
-    """Every string field after the op, and every non-empty tuple of strings and its members."""
+def shared_fields(records):
+    """Every string field after the op, every non-empty tuple of strings and its
+    members, and every amounts tuple of nonzero floats."""
     for rec in records:
         for value in rec[1:]:
             if type(value) is str:
@@ -1316,6 +1338,8 @@ def names_and_id_tuples(records):
             elif type(value) is tuple and value and all(type(v) is str for v in value):
                 yield value
                 yield from value
+            elif type(value) is tuple and value and all(type(v) is float and v for v in value):
+                yield value
 
 
 class TestDecodedSharing:
@@ -1344,11 +1368,13 @@ class TestDecodedSharing:
         second = load_log_records(audit_log)
         assert first == second
         shared = {}
-        for value in names_and_id_tuples(first):
+        for value in shared_fields(first):
             assert shared.setdefault(value, value) is value, value
-        assert sum(1 for _ in names_and_id_tuples(first)) > 3 * len(shared)
+        assert sum(1 for _ in shared_fields(first)) > 3 * len(shared)
+        amounts = [value for value in shared if type(value[0]) is float]
+        assert len(amounts) > 10
         in_first = {id(value) for value in shared}
-        assert not any(id(value) in in_first for value in names_and_id_tuples(second))
+        assert not any(id(value) in in_first for value in shared_fields(second))
 
         bad = tmp_path / "bad.ndjson"
         bad.write_bytes(audit_log.read_bytes() + b'{"op":"chain","id":7}\n')
@@ -1375,6 +1401,59 @@ class TestDecodedSharing:
             tracemalloc.stop()
         assert len(records) > 5_000 and held > 500
         assert left < held / 100, f"a failed load left {left} hashed ids; a load holds {held}"
+
+
+#: A chiplet sold from cm to cd and rejected once for each amount but the last.
+AMOUNTS_LOG = [
+    '{"op":"chain","id":"TB"}',
+    '{"op":"entity","id":"cm","role":"CM","chain":"TB"}',
+    '{"op":"entity","id":"cd","role":"CD","chain":"TB"}',
+    '{"op":"type","name":"t","kind":"chiplet","maker":"cm"}',
+    '{"op":"devices","maker":"cm","type":"t","ids":["%s"]}' % ("a" * 64),
+]
+SALE = ('{"op":"transfer","kind":"chiplet","type":"t","src":"cm","dst":"cd","ids":["%s"],'
+        '"amounts":%%s,"currency":"STD"}' % ("a" * 64))
+REJECT = '{"op":"reject","caller":"cd","type":"t","ids":["%s"]}' % ("a" * 64)
+CONFIRM = '{"op":"confirm","caller":"cd","type":"t","ids":["%s"]}' % ("a" * 64)
+
+
+def amounts_log(path, amounts: list[str]):
+    """A log that sells one chiplet at each of ``amounts``, rejected but the last."""
+    sales = [line for amount in amounts for line in (SALE % amount, REJECT)]
+    path.write_text("".join(line + "\n" for line in AMOUNTS_LOG + sales[:-1] + [CONFIRM]))
+    return path
+
+
+class TestDecodedAmounts:
+    """Decoding shares an amounts tuple only where equal amounts write the same bytes."""
+
+    def test_equal_amounts_that_write_otherwise_save_back_unchanged(self, tmp_path):
+        path = amounts_log(
+            tmp_path / "in.ndjson", ["[1]", "[1.0]", "[-0.0]", "[0.0]", "[1e+308]", "[1e+308]"]
+        )
+        records = load_log_records(path)
+        sales = [rec[6] for rec in records if rec[0] == "transfer"]
+        assert [type(a[0]) for a in sales[:4]] == [int, float, float, float]
+        assert len({id(a) for a in sales[:5]}) == 5 and sales[4] is sales[5]
+        out = tmp_path / "out.ndjson"
+        replay(records).ledger.save_log(out)
+        assert out.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "amount, message",
+        [("[true]", "record 8: malformed log field: must be real number, not bool"),
+         ("[NaN]", "record 8: money amount must be finite and >= 0, got nan")],
+        ids=["true", "nan"],
+    )
+    def test_true_and_nan_are_refused_at_their_record(self, tmp_path, amount, message):
+        # true equals the 1 before it, and the decoder reads both NaNs as one
+        # object, so the two would compare equal: none of the three is shared.
+        path = amounts_log(tmp_path / "bad.ndjson", ["[1]", amount, amount])
+        sales = [rec[6] for rec in load_log_records(path) if rec[0] == "transfer"]
+        assert len({id(a) for a in sales}) == 3
+        with pytest.raises(InvalidArgument) as exc:
+            replay(load_log_records(path))
+        assert str(exc.value) == message
 
 
 class TestOwnershipConservation:
@@ -1519,7 +1598,8 @@ class TestDerivedRows:
     def test_report_row_before_and_after_adjudication(self):
         ledger, _, chiplet, ic = fig_path_world()
         rid = ledger.report("si1", [ic], 1)
-        assert ledger._reports[rid] is ledger.log_records()[-1]
+        # Reports are stored in filing order, and report k has the id f"R{k:06d}".
+        assert ledger._reports[int(rid[1:]) - 1] is ledger.log_records()[-1]
         filed = {
             "id": rid, "reporter": "si1", "ids": [ic], "result": 1,
             "ta_outcome": None, "defect_origins": [],

@@ -108,7 +108,12 @@ class TestAssignBehaviors:
         [({"per_chain": [("UC-1", 0.1)]}, "per_chain must be a mapping"),
          ({"sleepers": [("cm001", (1, 0.5))]}, "sleepers must be a mapping"),
          ({"sleepers": {"cm001": 5}}, "sleeper 'cm001' must be a [switch_at, post_switch_prob]"),
-         ({"sleepers": {"cm001": (1, 0.5, 2)}}, "sleeper 'cm001' must be a")],
+         ({"sleepers": {"cm001": (1, 0.5, 2)}}, "sleeper 'cm001' must be a"),
+         # A sleeper with no switch point would be a plain benign profile.
+         ({"sleepers": {"cm001": (None, None)}},
+          "sleeper 'cm001' switch_at must be an integer, got None"),
+         ({"sleepers": {"cm001": (None, 0.5)}},
+          "sleeper 'cm001' switch_at must be an integer, got None")],
     )
     def test_shapes_checked_by_field(self, kwargs, message):
         with pytest.raises(InvalidConfig) as exc:
@@ -241,6 +246,48 @@ class TestGenerateStream:
         profiles.pop("cm001")
         with pytest.raises(InvalidConfig):
             list(generate_stream(topo, SMALL, profiles))
+
+
+class TestSharedPrices:
+    """Transfers at equal nonzero float prices share one amounts tuple, and no byte changes."""
+
+    #: The saved log of each world, recorded before prices were shared. The
+    #: first logs the int price 100 at each first sale and 100.0 after it; the
+    #: second logs -0.0 for chiplets and 0.0 for ICs, whose cost is a sum.
+    CASES = {
+        "int_cost_no_markup": (
+            dataclasses.replace(SMALL, base_unit_cost=100, markup_pct=0),
+            "b2a480e16379fe762a8e087e5290d11d9e3b83046848ecf4f84eff164ac6ca91",
+            {"chiplet": {"[100]", "[100.0]"}, "ic": {"[200.0]"}},
+        ),
+        "negative_zero_cost": (
+            dataclasses.replace(SMALL, base_unit_cost=-0.0),
+            "3abc540fcb57111f5500cf108f9c2d23f544ba5893093201e0edcbe9b66d8dcf",
+            {"chiplet": {"[-0.0]"}, "ic": {"[0.0]"}},
+        ),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_equal_prices_that_write_otherwise_keep_their_bytes(self, tmp_path, name):
+        cfg, digest, amounts = self.CASES[name]
+        path = tmp_path / "ledger.ndjson"
+        replay(generate_stream(build_topology(cfg), cfg)).ledger.save_log(path)
+        written: dict[str, set[str]] = {}
+        for line in path.read_text().splitlines():
+            obj = json.loads(line)
+            if obj["op"] == "transfer":
+                text = line.split('"amounts":')[1].split("]")[0] + "]"
+                written.setdefault(obj["kind"], set()).add(text)
+        assert written == amounts
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_one_amounts_tuple_per_price(self):
+        cfg = SimConfig(n_transactions=2_000)
+        transfers = [rec for rec in generate_stream(build_topology(cfg), cfg) if rec[0] == "transfer"]
+        first: dict[tuple, tuple] = {}
+        for rec in transfers:
+            assert first.setdefault(rec[6], rec[6]) is rec[6], rec[6]
+        assert len(transfers) > 20 * len(first)
 
 
 class TestReplay:
