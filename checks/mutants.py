@@ -74,15 +74,15 @@ MUTANTS = [
     Mutant(
         "half_rate_divisor",
         "the rate-form penalty divisor is 1 + rate (shared)",
-        ((ENGINE, 'return rate if params.penalty_form == "raw" else 1.0 + rate\n',
-          'return rate if params.penalty_form == "raw" else 1.0 + rate / 2\n'),
+        ((ENGINE, "divisor = rate if raw_form else 1.0 + rate\n",
+          "divisor = rate if raw_form else 1.0 + rate / 2\n"),
          (ORACLE, "divisor = rate if raw_form else 1.0 + rate\n",
           "divisor = rate if raw_form else 1.0 + rate / 2\n")),
     ),
     Mutant(
         "failed_lifecycle_skips_ideal",
         "a failed lifecycle still adds its sale amounts to r_ideal (shared)",
-        ((ENGINE, "            self._get(seller).r_ideal += amount * rate(currency)\n",
+        ((ENGINE, "            self._get(seller).r_ideal += amount * to_standard(currency)\n",
           "            self._get(seller)\n"),
          (ORACLE, "credit(seller, amount * rates[currency], ideal_only=True)",
           "credit(seller, 0.0, ideal_only=True)")),
@@ -91,8 +91,8 @@ MUTANTS = [
         "untrusted_edge_discounts",
         "an edge sold from an untrusted chain passes the rate on undiscounted (shared)",
         ((ENGINE,
-          "    if seller.role is Role.META_ENTITY or seller.chain not in view.trusted_chains:\n",
-          "    if seller.role is Role.META_ENTITY:\n"),
+          "if upstream.role is not Role.META_ENTITY and upstream.chain in trusted:\n",
+          "if upstream.role is not Role.META_ENTITY:\n"),
          (ORACLE, 'if prev_role != "META" and prev_chain in view.trusted_chains:\n',
           'if prev_role != "META":\n')),
     ),
@@ -114,9 +114,8 @@ MUTANTS = [
         "meta_hop_uses_a_discount_step",
         "a meta hop never uses up a discount step (shared)",
         ((ENGINE,
-          "    if seller.role is Role.META_ENTITY or seller.chain not in view.trusted_chains:\n",
-          "    if seller.role is not Role.META_ENTITY"
-          " and seller.chain not in view.trusted_chains:\n"),
+          "if upstream.role is not Role.META_ENTITY and upstream.chain in trusted:\n",
+          "if upstream.role is Role.META_ENTITY or upstream.chain in trusted:\n"),
          (ORACLE, 'if prev_role != "META" and prev_chain in view.trusted_chains:\n',
           'if prev_role == "META" or prev_chain in view.trusted_chains:\n')),
     ),
@@ -192,8 +191,8 @@ MUTANTS = [
         "a sale amount is converted to the standard currency by multiplying by its rate (shared)",
         ((ENGINE, "value = amount * (rates.get(currency) or self.exchange.rate(currency))",
           "value = amount / (rates.get(currency) or self.exchange.rate(currency))"),
-         (ENGINE, "self._get(seller).r_ideal += amount * rate(currency)",
-          "self._get(seller).r_ideal += amount / rate(currency)"),
+         (ENGINE, "self._get(seller).r_ideal += amount * to_standard(currency)",
+          "self._get(seller).r_ideal += amount / to_standard(currency)"),
          (ORACLE, "                        credit(seller, amount * rates[currency])\n",
           "                        credit(seller, amount / rates[currency])\n"),
          (ORACLE, "credit(seller, amount * rates[currency], ideal_only=True)",
@@ -202,8 +201,8 @@ MUTANTS = [
     Mutant(
         "discount_from_own_chain",
         "a seller's penalty rate is discounted by the upstream seller's chain, not its own (shared)",
-        ((ENGINE, "upstream_seller = entities[path[k - 1][0]]",
-          "upstream_seller = entities[path[k][0]]"),
+        ((ENGINE, "upstream = entities[penalty_path[k - 1][0]]",
+          "upstream = entities[penalty_path[k][0]]"),
          (ORACLE, "prev_role, prev_chain = entity_info[pen[k - 1][0]]",
           "prev_role, prev_chain = entity_info[pen[k][0]]")),
     ),
@@ -215,7 +214,7 @@ MUTANTS = [
     Mutant(
         "markup_overflow_unchecked",
         "a config's markup leaves the largest price it can write finite",
-        ((SIMULATOR, "        if not math.isfinite(top):\n", "        if False:\n"),),
+        ((SIMULATOR, "        if not top <= MAX_STANDARD_AMOUNT:\n", "        if False:\n"),),
     ),
     Mutant(
         "config_count_accepts_bool",
@@ -461,8 +460,7 @@ MUTANTS = [
         "trusted_discount_multiplies",
         "a trusted seller's discount divides the next seller's rate, so more trust lowers"
         " no score (shared)",
-        ((ENGINE, "rate = rate / edge_discount(upstream_seller, view, params)",
-          "rate = rate * edge_discount(upstream_seller, view, params)"),
+        ((ENGINE, "rate /= params.trusted_discount", "rate *= params.trusted_discount"),
          (ORACLE, "rate /= params.trusted_discount", "rate *= params.trusted_discount")),
     ),
     Mutant(
@@ -482,7 +480,7 @@ MUTANTS = [
         " worth half at twice the amounts scores the same (shared)",
         ((ENGINE, "value = amount * (rates.get(currency) or self.exchange.rate(currency))\n",
           "value = amount\n"),
-         (ENGINE, "            self._get(seller).r_ideal += amount * rate(currency)\n",
+         (ENGINE, "            self._get(seller).r_ideal += amount * to_standard(currency)\n",
           "            self._get(seller).r_ideal += amount\n"),
          (ORACLE, "                        credit(seller, amount * rates[currency])\n",
           "                        credit(seller, amount)\n"),
@@ -557,6 +555,20 @@ MUTANTS = [
         "sleeper_without_switch_point",
         "a sleeper needs an integer switch point",
         ((SIMULATOR, "            if type(switch_at) is not int:\n", "            if False:\n"),),
+    ),
+    Mutant(
+        "raw_divisor_unchecked",
+        "a penalty divisor that is not a positive finite number is refused (shared)",
+        ((ENGINE, "            if not (is_real(divisor) and divisor > 0):\n",
+          "            if False:\n"),
+         (ORACLE, "                    if not (is_real(divisor) and divisor > 0):\n",
+          "                    if False:\n")),
+    ),
+    Mutant(
+        "amount_bound_unchecked",
+        "a sale amount above MAX_STANDARD_AMOUNT once converted never enters the log",
+        ((LEDGER, "        if top * self.exchange.rates[currency] > MAX_STANDARD_AMOUNT:\n",
+          "        if False:\n"),),
     ),
 ]
 

@@ -35,9 +35,7 @@ from .reputation import (
     PenaltyTrace,
     ReputationEngine,
     ReputationParams,
-    edge_discount,
     normalized_score,
-    penalty_rates,
 )
 from .simulator import (
     BehaviorProfile,

@@ -26,6 +26,10 @@ STANDARD_CURRENCY = "STD"
 #: Largest finite double.
 _MAX_FINITE = sys.float_info.max
 
+#: Largest sale amount once converted to the standard currency: no sum of up
+#: to 2**53 of them overflows, with a factor of two left for rounding.
+MAX_STANDARD_AMOUNT = _MAX_FINITE / 2**54
+
 
 class Role(str, Enum):
     """Participant roles in the traceability framework."""

@@ -45,7 +45,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .domain import EntityId, ExchangeTable, is_real
-from .errors import InvalidConfig
+from .errors import InvalidArgument, InvalidConfig
 from .files import atomic_write
 from .ledger import TRANSFER_ROLES, PenaltyTrace
 from .reputation import ObserverView, ReputationEngine, ReputationParams
@@ -395,7 +395,8 @@ def oracle_recompute(
     Walks the serialized records, rebuilds each part's provenance path
     (including cross-chain split hops), and applies the reward and penalty
     rules directly per completed lifecycle. Deliberately shares no code with
-    the incremental engine beyond the parameter set.
+    the incremental engine beyond the parameter set. A penalty divisor that is
+    not a positive finite number raises ``InvalidArgument``, as in the engine.
     """
     entity_info: dict[str, tuple[str, str]] = {}  # id -> (role, chain)
     paths: dict[str, list[tuple[str, str, float, str]]] = {}
@@ -456,6 +457,11 @@ def oracle_recompute(
                         if prev_role != "META" and prev_chain in view.trusted_chains:
                             rate /= params.trusted_discount
                     divisor = rate if raw_form else 1.0 + rate
+                    if not (is_real(divisor) and divisor > 0):
+                        raise InvalidArgument(
+                            f"part {hid!r}: penalty divisor {divisor!r} of seller {seller!r}"
+                            " is not a positive finite number"
+                        )
                     if seller in rep_r:
                         rep_r[seller] /= divisor
                     else:

@@ -65,6 +65,7 @@ from enum import Enum
 from json.encoder import encode_basestring_ascii as _q
 
 from .domain import (
+    MAX_STANDARD_AMOUNT,
     STANDARD_CURRENCY,
     STANDARD_TABLE,
     ChainId,
@@ -361,7 +362,8 @@ class Ledger:
         amounts) is logged and held as pending itself; any other is logged as
         its canonical form, with the ids sorted and each amount moved with its
         id, so a caller's list never reaches the log. An amount that is not
-        valid, or a kind that names no part kind, raises ``InvalidArgument``.
+        valid or converts to more than ``MAX_STANDARD_AMOUNT``, or a kind that
+        names no part kind, raises ``InvalidArgument``.
         """
         _, kind_value, part_type, caller, dest, ids, amounts, currency = rec
         for amount in amounts:
@@ -389,6 +391,11 @@ class Ledger:
             raise InvalidArgument(f"part type {part_type!r} is not a {kind.value} type")
         if currency not in self.exchange.rates:
             self.exchange.rate(currency)  # raises: unknown currencies never enter the log
+        top = max(amounts)
+        if top * self.exchange.rates[currency] > MAX_STANDARD_AMOUNT:
+            raise InvalidArgument(
+                f"amount {top!r} {currency} exceeds {MAX_STANDARD_AMOUNT:.6g} {STANDARD_CURRENCY}"
+            )
         parts = self._parts
         for hid in id_tuple:
             part = parts.get(hid) or self.part(hid)
@@ -574,6 +581,7 @@ class Ledger:
         penalized along its own provenance path, unless ``defect_origins``
         traces the defect of a reported IC back to one of its consumed
         chiplets, in which case the joined chiplet-then-IC path is penalized.
+        An engine that refuses a raw-form penalty raises after the append.
         """
         ta_entity = self.entity(ta)
         if ta_entity.role is not Role.TRUSTED_AUTHORITY:

@@ -15,14 +15,14 @@ view every entity carries two numbers:
 The normalized score r / r_ideal therefore sits in [0, 1] and equals 1 exactly
 for entities that were never penalized.
 
-Penalty propagation walks a part's provenance path manufacturer-first. The
+Penalty propagation walks a part's attribution path manufacturer-first. The
 manufacturer is penalized at the base decrease rate; each later seller's rate
-is the previous seller's rate divided by the discount of the edge by which the
-seller acquired the part. That discount is 1 whenever the edge's seller sits
-on an untrusted chain (so sybil sub-paths are penalized uniformly, and the
-buyer who let a part cross a trust boundary inherits the full rate), and 1 for
-meta-entity hops (a cross-chain split never consumes a discount step). Only
-trusted-internal edges decay the rate, geometrically by the trusted discount.
+is the previous seller's rate, divided by the trusted discount only when that
+previous seller is a user entity on a trusted chain. So sybil sub-paths on an
+untrusted chain are penalized uniformly, the buyer who let a part cross a
+trust boundary inherits the full rate, and a meta-entity hop (a cross-chain
+split) never consumes a discount step. Only trusted-internal edges decay the
+rate, geometrically by the trusted discount.
 
 Two penalty forms are supported:
 
@@ -30,7 +30,8 @@ Two penalty forms are supported:
         rate: divisors never drop below 1, so penalization never increases r.
   raw   divisor = rate. Reproduces the literal divide-by-factor rule; only
         sensible for decrease rates above 1, and deep trusted paths can yield
-        divisors below 1.
+        divisors below 1, or 0 when the rate underflows. A divisor that is not
+        a positive finite number is refused before any r or r_ideal changes.
 """
 
 from __future__ import annotations
@@ -97,48 +98,8 @@ class EntityReputation:
 class PenaltyTrace:
     """Audit record of one penalization pass: (entity, rate, divisor) per path seller."""
 
-    part: str = ""
+    part: str
     entries: list[tuple[EntityId, float, float]] = field(default_factory=list)
-
-
-def edge_discount(seller: Entity, view: ObserverView, params: ReputationParams) -> float:
-    """Discount contributed by an edge, determined by the edge's seller.
-
-    Untrusted-chain sellers and meta-entity hops contribute no discount (1),
-    trusted-chain sellers the trusted discount.
-    """
-    if seller.role is Role.META_ENTITY or seller.chain not in view.trusted_chains:
-        return 1.0
-    return params.trusted_discount
-
-
-def penalty_divisor(rate: float, params: ReputationParams) -> float:
-    return rate if params.penalty_form == "raw" else 1.0 + rate
-
-
-def penalty_rates(
-    path: Sequence[Edge],
-    entities: Mapping[EntityId, Entity],
-    view: ObserverView,
-    params: ReputationParams,
-    part: str = "",
-) -> PenaltyTrace:
-    """Penalty rate and divisor for every seller along a provenance path.
-
-    The first seller (the manufacturer) gets the base decrease rate; each
-    subsequent seller's rate is the previous seller's rate divided by the
-    discount of its acquiring edge. Rates are non-increasing along the path.
-    """
-    if not path:
-        raise InvalidArgument("penalty path must be non-empty")
-    trace = PenaltyTrace(part=part)
-    rate = params.decrease_rate
-    trace.entries.append((path[0][0], rate, penalty_divisor(rate, params)))
-    for k in range(1, len(path)):
-        upstream_seller = entities[path[k - 1][0]]
-        rate = rate / edge_discount(upstream_seller, view, params)
-        trace.entries.append((path[k][0], rate, penalty_divisor(rate, params)))
-    return trace
 
 
 def normalized_score(rep: EntityReputation) -> float:
@@ -157,15 +118,10 @@ class ReputationEngine:
     it the entity registry and exchange table (else ``STANDARD_TABLE``).
     """
 
-    def __init__(
-        self,
-        view: ObserverView,
-        params: ReputationParams,
-        entities: Mapping[EntityId, Entity] | None = None,
-    ) -> None:
+    def __init__(self, view: ObserverView, params: ReputationParams) -> None:
         self.view = view
         self.params = params
-        self.entities: Mapping[EntityId, Entity] = entities if entities is not None else {}
+        self.entities: Mapping[EntityId, Entity] = {}
         self.exchange: ExchangeTable = STANDARD_TABLE
         self._rep: dict[EntityId, EntityReputation] = {}
 
@@ -224,26 +180,38 @@ class ReputationEngine:
             rep.r_ideal += value
 
     def lifecycle_failed(
-        self,
-        own_path: Sequence[Edge],
-        penalty_path: Sequence[Edge] | None = None,
-        part: str = "",
+        self, own_path: Sequence[Edge], penalty_path: Sequence[Edge], part: str
     ) -> PenaltyTrace:
-        """Penalize a defective part.
+        """Penalize defective ``part``; return its trace.
 
-        Sellers along ``penalty_path`` (the attribution path; defaults to the
-        part's own path) have r divided by their penalty divisor. Sellers
-        along ``own_path`` additionally accrue their foregone sale amount into
-        r_ideal: the failed lifecycle still completed.
+        Sellers along ``penalty_path`` (the attribution path) have r divided
+        by their penalty divisor. Sellers along ``own_path`` additionally
+        accrue their foregone sale amount into r_ideal: the failed lifecycle
+        still completed.
         """
-        if penalty_path is None:
-            penalty_path = own_path
-        rate = self.exchange.rate
+        if not penalty_path:
+            raise InvalidArgument("penalty path must be non-empty")
+        params, entities, trusted = self.params, self.entities, self.view.trusted_chains
+        raw_form = params.penalty_form == "raw"
+        trace = PenaltyTrace(part)
+        rate = params.decrease_rate
+        for k, (seller, _buyer, _amount, _currency) in enumerate(penalty_path):
+            if k > 0:
+                upstream = entities[penalty_path[k - 1][0]]
+                if upstream.role is not Role.META_ENTITY and upstream.chain in trusted:
+                    rate /= params.trusted_discount
+            divisor = rate if raw_form else 1.0 + rate
+            if not (is_real(divisor) and divisor > 0):
+                raise InvalidArgument(
+                    f"part {part!r}: penalty divisor {divisor!r} of seller {seller!r}"
+                    " is not a positive finite number"
+                )
+            trace.entries.append((seller, rate, divisor))
+        to_standard = self.exchange.rate
         for seller, _buyer, amount, currency in own_path:
-            self._get(seller).r_ideal += amount * rate(currency)
-        trace = penalty_rates(penalty_path, self.entities, self.view, self.params, part=part)
-        for entity_id, _rate, divisor in trace.entries:
-            self._get(entity_id).r /= divisor
+            self._get(seller).r_ideal += amount * to_standard(currency)
+        for seller, _rate, divisor in trace.entries:
+            self._get(seller).r /= divisor
         return trace
 
     # -- export --------------------------------------------------------------

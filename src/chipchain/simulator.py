@@ -37,6 +37,7 @@ from typing import Generator, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .domain import (
+    MAX_STANDARD_AMOUNT,
     STANDARD_CURRENCY,
     ChainId,
     Entity,
@@ -128,15 +129,17 @@ class SimConfig:
             raise InvalidConfig(f"hop_range spans more than 2**32 hop counts, got {self.hop_range}")
         # The largest price generate_stream can write: chiplets bought after hi
         # markups each, built into an IC marked up once, then hi more markups.
+        # The ledger refuses a price above MAX_STANDARD_AMOUNT.
         markups = 2 * hi + 1
         culprit = f"markup_pct {self.markup_pct!r}"
         try:
             top = (1.0 + self.markup_pct / 100.0) ** markups  # finite, or it raises
-            culprit = "base_unit_cost * chiplets_per_ic"
+            if top <= MAX_STANDARD_AMOUNT:
+                culprit = "base_unit_cost * chiplets_per_ic"
             top *= self.base_unit_cost * self.chiplets_per_ic
         except OverflowError:
             top = math.inf
-        if not math.isfinite(top):
+        if not top <= MAX_STANDARD_AMOUNT:
             raise InvalidConfig(f"{culprit} overflows prices within {markups} markups")
         if not is_real(self.cross_chain_prob) or not 0.0 <= self.cross_chain_prob <= 1.0:
             raise InvalidConfig("cross_chain_prob must be in [0, 1]")

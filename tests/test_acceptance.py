@@ -28,7 +28,6 @@ from chipchain.reputation import (
     ReputationEngine,
     ReputationParams,
     normalized_score,
-    penalty_rates,
 )
 from chipchain.simulator import SimConfig, build_topology, generate_stream, replay
 from references import ledger_single_seller

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from chipchain.cli import load_config, main
+from chipchain.domain import MAX_STANDARD_AMOUNT
 
 SMALL_CONFIG = {
     "sim": {
@@ -353,6 +354,11 @@ class TestMalformedConfigs:
              "invalid JSON: nested too deeply"),
             (small_config_with("behaviors", {"sleepers": {"cm001": [None, None]}}),
              "sleeper 'cm001' switch_at must be an integer, got None"),
+            # Finite prices above the ledger's bound on a converted amount.
+            (small_config_with("sim", {"base_unit_cost": 1e292}),
+             "base_unit_cost * chiplets_per_ic overflows prices within 7 markups"),
+            (small_config_with("sim", {"markup_pct": 1e44}),
+             "markup_pct 1e+44 overflows prices within 7 markups"),
         ],
         ids=[
             "unknown_reputation_key", "reputation_exchange", "unknown_behaviors_key",
@@ -366,7 +372,7 @@ class TestMalformedConfigs:
             "bool_switch_at", "bool_post_switch_prob", "bool_decrease_rate",
             "bool_trusted_discount", "huge_int_decrease_rate", "huge_int_chiplets_per_ic",
             "three_hop_range", "scalar_chains", "three_element_chain", "list_per_chain",
-            "deep_sim", "null_sleeper",
+            "deep_sim", "null_sleeper", "base_cost_above_bound", "markup_above_bound",
         ],
     )
     def test_diagnosed_with_path(self, tmp_path, capsys, command, text, message):
@@ -465,6 +471,37 @@ class TestMalformedLogs:
         assert err == f"error: {log}: record 7: 'cd' does not own device '{'a' * 64}'\n"
 
     @pytest.mark.parametrize("command", COMMANDS)
+    def test_amount_above_the_bound_names_record(self, tmp_path, capsys, command):
+        # Two clean lifecycles at 1e308 once made r and r_ideal infinite.
+        log = tmp_path / "huge.ndjson"
+        sale = STRING_AMOUNT[-1].replace('["5"]', "[1e308]")
+        log.write_text(VALID_PREFIX + "".join(line + "\n" for line in STRING_AMOUNT[:-1] + [sale]))
+        assert run(self.argv(command, log, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {log}: record 7: amount 1e+308 STD exceeds 9.9792e+291 STD\n"
+
+    def test_the_largest_accepted_amounts_score_finitely(self, tmp_path, capsys):
+        # Two clean lifecycles at the bound: r and r_ideal are their finite sum.
+        ids = json.dumps(["a" * 64, "b" * 64])
+        top = MAX_STANDARD_AMOUNT
+        lines = [
+            '{"op":"entity","id":"cm","role":"CM","chain":"TB"}',
+            '{"op":"entity","id":"icm","role":"ICM","chain":"TB"}',
+            '{"op":"type","name":"t","kind":"chiplet","maker":"cm"}',
+            '{"op":"devices","maker":"cm","type":"t","ids":%s}' % ids,
+            '{"op":"transfer","kind":"chiplet","type":"t","src":"cm","dst":"icm",'
+            '"ids":%s,"amounts":[%r,%r],"currency":"STD"}' % (ids, top, top),
+            '{"op":"confirm","caller":"icm","type":"t","ids":%s}' % ids,
+            '{"op":"report","reporter":"icm","ids":%s,"result":0}' % ids,
+        ]
+        log = tmp_path / "bound.ndjson"
+        log.write_text(VALID_PREFIX + "".join(line + "\n" for line in lines))
+        assert run(["score", "--log", log, "--entity", "cm"]) == 0
+        score = json.loads(capsys.readouterr().out)
+        assert score["r"] == score["r_ideal"] == 2 * top
+        assert score["normalized"] == 1.0
+
+    @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize(
         "lines, message",
         [
@@ -510,6 +547,23 @@ class TestViewFlags:
         argv = TestMalformedLogs.argv(command, out / "ledger.ndjson", tmp_path)
         assert run(argv + flags) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", TestMalformedLogs.COMMANDS)
+    def test_a_raw_divisor_of_zero_is_refused(self, tmp_path, capsys, command):
+        # An IC sold on down one trusted chain: its third seller's raw rate,
+        # 2 / 1e300 / 1e300, underflows to a divisor of 0.0.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(GOLDEN_CONFIG))
+        run(["simulate", "--config", config, "--out", tmp_path / "run"])
+        capsys.readouterr()
+        log = tmp_path / "run" / "ledger.ndjson"
+        flags = ["--penalty-form", "raw", "--m", "2", "--trusted-discount", "1e300"]
+        assert run(TestMalformedLogs.argv(command, log, tmp_path) + flags) == 1
+        part = "3f1d6d4af6ecb1086d4b8ffaf4a5979bab0a4c6c6f6ce1b5877557632cc3d4bc"
+        assert capsys.readouterr() == ("", (
+            f"error: {log}: record 230: part '{part}': penalty divisor 0.0 of seller 'icd004'"
+            " is not a positive finite number\n"
+        ))
 
     def test_registered_chains_are_accepted(self, tmp_path, config_file, capsys):
         out = tmp_path / "run"

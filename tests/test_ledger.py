@@ -19,7 +19,7 @@ from chipchain.errors import (
     PermissionDenied,
     UnknownCurrency,
 )
-from chipchain.harness import oracle_max_deviation, run_end_to_end
+from chipchain.harness import oracle_max_deviation, oracle_recompute, run_end_to_end
 from chipchain.ledger import (
     Ledger,
     PartKind,
@@ -592,6 +592,50 @@ class TestTrustedCrossing:
         assert self.engine.reputation("cd").r == 10.0 / (1 + m / d)
 
 
+class TestRefusedPenalty:
+    """A raw divisor of 0.0 is refused before any reputation changes."""
+
+    PARAMS = ReputationParams(decrease_rate=2.0, trusted_discount=1e300, penalty_form="raw")
+    VIEW = ObserverView("TB", frozenset({"TB"}))
+
+    def world(self, engine=None):
+        """Two ICs sold icm1 -> icd1 -> icd2 -> si1 on TB; one passes, one fails.
+
+        The third seller's rate, 2 / 1e300 / 1e300, underflows to 0.0.
+        """
+        ledger = small_world()
+        if engine is not None:
+            ledger.attach(engine)
+        ledger.register_ic_type("icm1", "IC")
+        good, bad = hid("ic-good"), hid("ic-bad")
+        ledger.register_devices("icm1", "IC", [good, bad])
+        for ic in (good, bad):
+            ship(ledger, "icm1", "icd1", "IC", [ic], 5.0, kind="ic")
+            ship(ledger, "icd1", "icd2", "IC", [ic], 6.0, kind="ic")
+            ship(ledger, "icd2", "si1", "IC", [ic], 7.0, kind="ic")
+        ledger.report("si1", [good], 0)
+        return ledger, ledger.report("si1", [bad], 1), bad
+
+    def message(self, bad):
+        return f"part {bad!r}: penalty divisor 0.0 of seller 'icd2' is not a positive finite number"
+
+    def test_engine_scores_are_unchanged(self):
+        engine = ReputationEngine(self.VIEW, self.PARAMS)
+        ledger, rid, bad = self.world(engine)
+        before = engine.score_rows()
+        with pytest.raises(InvalidArgument) as exc:
+            ledger.adjudicate("ta-tb", rid, [bad])
+        assert str(exc.value) == self.message(bad)
+        assert engine.score_rows() == before
+
+    def test_oracle_refuses_the_same_divisor(self):
+        ledger, rid, bad = self.world()
+        ledger.adjudicate("ta-tb", rid, [bad])
+        with pytest.raises(InvalidArgument) as exc:
+            oracle_recompute(ledger.log_records(), self.PARAMS, self.VIEW, STANDARD_TABLE)
+        assert str(exc.value) == self.message(bad)
+
+
 class TestJoinedAttribution:
     def test_defect_traced_to_consumed_chiplet_penalizes_joined_path(self):
         ledger, view, chiplet, ic = fig_path_world()
@@ -1086,6 +1130,12 @@ class TestPreconditions:
             (("consume", "icm", (IC,), IC), InvalidArgument, f"'{IC}' is not a chiplet"),
             (("adjudicate", "ta", "R000003", (D,), ((B, A),)),
              InvalidArgument, f"origin given for non-defective part '{B}'"),
+            # A converted amount is bounded so that no sum of them overflows;
+            # an unknown currency is refused first.
+            (("transfer", "chiplet", "ch", "cm", "cd", (F,), (1e300,), "STD"),
+             InvalidArgument, "amount 1e+300 STD exceeds 9.9792e+291 STD"),
+            (("transfer", "chiplet", "ch", "cm", "cd", (F,), (1e300,), "EUR"),
+             UnknownCurrency, "no exchange rate for currency 'EUR'"),
         ],
         ids=[
             "transfer_role", "transfer_owner", "transfer_status", "transfer_count",
@@ -1097,7 +1147,7 @@ class TestPreconditions:
             "entity_unknown", "type_unknown", "chain_twice", "entity_twice", "entity_chain",
             "type_empty", "devices_count", "transfer_meta", "transfer_type", "consume_count",
             "consume_not_ic", "consume_ic_owner", "consume_ic_status", "consume_not_chiplet",
-            "adjudicate_origin",
+            "adjudicate_origin", "transfer_amount_bound", "transfer_currency_before_bound",
         ],
     )
     def test_error_type_and_message(self, rec, error, message):
@@ -1429,7 +1479,7 @@ class TestDecodedAmounts:
 
     def test_equal_amounts_that_write_otherwise_save_back_unchanged(self, tmp_path):
         path = amounts_log(
-            tmp_path / "in.ndjson", ["[1]", "[1.0]", "[-0.0]", "[0.0]", "[1e+308]", "[1e+308]"]
+            tmp_path / "in.ndjson", ["[1]", "[1.0]", "[-0.0]", "[0.0]", "[1e+291]", "[1e+291]"]
         )
         records = load_log_records(path)
         sales = [rec[6] for rec in records if rec[0] == "transfer"]

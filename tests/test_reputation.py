@@ -9,9 +9,7 @@ from chipchain.reputation import (
     ObserverView,
     ReputationEngine,
     ReputationParams,
-    edge_discount,
     normalized_score,
-    penalty_rates,
 )
 
 UB, TB = "UB", "TB"
@@ -28,6 +26,13 @@ def rates(trace):
 
 def divisors(trace):
     return [div for _, _, div in trace.entries]
+
+
+def engine_for(view, params, entities):
+    """An engine that reads ``entities``, the way ``Ledger.attach`` hands it a registry."""
+    engine = ReputationEngine(view, params)
+    engine.entities = entities
+    return engine
 
 
 def two_chain_entities():
@@ -59,37 +64,47 @@ def boundary_crossing_path():
 
 
 class TestEdgeDiscount:
+    """The discount of an edge, read off the rates of the sellers on either side of it."""
+
     def setup_method(self):
         self.entities, self.view = two_chain_entities()
         self.params = ReputationParams(decrease_rate=1.0, trusted_discount=2.0)
 
+    def discount(self, seller):
+        path = [(seller, "icd1", 1.0, "STD"), ("icd1", "si1", 1.0, "STD")]
+        engine = engine_for(self.view, self.params, self.entities)
+        first, second = rates(engine.lifecycle_failed([], path, "p"))
+        return first / second
+
     def test_untrusted_seller(self):
-        assert edge_discount(self.entities["cd1"], self.view, self.params) == 1.0
+        assert self.discount("cd1") == 1.0
 
     def test_meta_entity_seller(self):
         # The cross-chain hop never consumes a discount step.
-        assert edge_discount(self.entities[META_ID], self.view, self.params) == 1.0
+        assert self.discount(META_ID) == 1.0
 
     def test_trusted_internal_seller(self):
-        assert edge_discount(self.entities["icm1"], self.view, self.params) == 2.0
+        assert self.discount("icm1") == 2.0
 
 
 class TestPenaltyRates:
     def setup_method(self):
         self.entities, self.view = two_chain_entities()
 
+    def trace(self, path, params):
+        return engine_for(self.view, params, self.entities).lifecycle_failed(path, path, "p")
+
     def test_boundary_crossing_path(self):
         m, d = 1.0, 2.0
         params = ReputationParams(decrease_rate=m, trusted_discount=d)
-        trace = penalty_rates(boundary_crossing_path(), self.entities, self.view, params)
+        trace = self.trace(boundary_crossing_path(), params)
+        assert trace.part == "p"
         assert sellers(trace) == ["cm1", "cd1", META_ID, "cd3", "icm1", "icd1", "icd2"]
         assert rates(trace) == [m, m, m, m, m / d, m / d**2, m / d**3]
 
     def test_single_hop_path(self):
         params = ReputationParams(decrease_rate=0.25)
-        trace = penalty_rates(
-            [("cm1", "icm1", 1.0, "STD")], self.entities, self.view, params
-        )
+        trace = self.trace([("cm1", "icm1", 1.0, "STD")], params)
         assert rates(trace) == [0.25]
 
     def test_all_trusted_path(self):
@@ -100,17 +115,17 @@ class TestPenaltyRates:
             ("icd1", "icd2", 11.0, "STD"),
             ("icd2", "si1", 12.0, "STD"),
         ]
-        trace = penalty_rates(path, self.entities, self.view, params)
+        trace = self.trace(path, params)
         assert rates(trace) == [m, m / d, m / d**2]
 
     def test_empty_path_rejected(self):
         params = ReputationParams()
-        with pytest.raises(InvalidArgument):
-            penalty_rates([], self.entities, self.view, params)
+        with pytest.raises(InvalidArgument, match="penalty path must be non-empty"):
+            self.trace([], params)
 
     def test_rates_non_increasing(self):
         params = ReputationParams(decrease_rate=3.0, trusted_discount=4.0)
-        trace = penalty_rates(boundary_crossing_path(), self.entities, self.view, params)
+        trace = self.trace(boundary_crossing_path(), params)
         seq = rates(trace)
         assert all(a >= b for a, b in zip(seq, seq[1:]))
 
@@ -118,7 +133,7 @@ class TestPenaltyRates:
         # Everything up to and including the first trusted-internal acquisition
         # gets the full base rate.
         params = ReputationParams(decrease_rate=1.5, trusted_discount=3.0)
-        trace = penalty_rates(boundary_crossing_path(), self.entities, self.view, params)
+        trace = self.trace(boundary_crossing_path(), params)
         assert rates(trace)[:4] == [1.5, 1.5, 1.5, 1.5]
 
     def test_divisor_forms(self):
@@ -126,8 +141,8 @@ class TestPenaltyRates:
         raw = ReputationParams(decrease_rate=m, trusted_discount=d, penalty_form="raw")
         rate = ReputationParams(decrease_rate=m, trusted_discount=d, penalty_form="rate")
         path = boundary_crossing_path()
-        raw_divs = divisors(penalty_rates(path, self.entities, self.view, raw))
-        rate_divs = divisors(penalty_rates(path, self.entities, self.view, rate))
+        raw_divs = divisors(self.trace(path, raw))
+        rate_divs = divisors(self.trace(path, rate))
         assert raw_divs == [2.0, 2.0, 2.0, 2.0, 1.0, 0.5, 0.25]
         assert rate_divs == [3.0, 3.0, 3.0, 3.0, 2.0, 1.5, 1.25]
 
@@ -137,7 +152,7 @@ class TestRewards:
         self.entities, self.view = two_chain_entities()
 
     def engine(self, **kwargs):
-        return ReputationEngine(self.view, ReputationParams(**kwargs), self.entities)
+        return engine_for(self.view, ReputationParams(**kwargs), self.entities)
 
     def test_each_seller_gains_sale_amount(self):
         engine = self.engine()
@@ -187,13 +202,13 @@ class TestPenalties:
         self.entities, self.view = two_chain_entities()
 
     def engine(self, **kwargs):
-        return ReputationEngine(self.view, ReputationParams(**kwargs), self.entities)
+        return engine_for(self.view, ReputationParams(**kwargs), self.entities)
 
     def test_manufacturer_only_small_rate(self):
         engine = self.engine(decrease_rate=0.01)
         path = [("cm1", "icm1", 50.0, "STD")]
         engine.lifecycle_passed(path)
-        engine.lifecycle_failed(path)
+        engine.lifecycle_failed(path, path, "p")
         assert engine.reputation("cm1").r == pytest.approx(50.0 / 1.01)
         assert engine.reputation("cm1").r_ideal == pytest.approx(100.0)
 
@@ -208,7 +223,7 @@ class TestPenalties:
             ("icm1", "icd2", 14.0, "STD"),
         ]
         engine.lifecycle_passed(path)
-        trace = engine.lifecycle_failed(path)
+        trace = engine.lifecycle_failed(path, path, "p")
         assert sellers(trace) == ["icm1", "icd1", "icm1"]
         expected_r = (10.0 + 14.0) / (1 + m) / (1 + m / d**2)
         assert engine.reputation("icm1").r == pytest.approx(expected_r)
@@ -220,7 +235,8 @@ class TestPenalties:
             m = rng.uniform(1e-4, 5.0)
             d = rng.uniform(1.0, 5.0)
             engine = self.engine(decrease_rate=m, trusted_discount=d)
-            trace = engine.lifecycle_failed(boundary_crossing_path())
+            path = boundary_crossing_path()
+            trace = engine.lifecycle_failed(path, path, "p")
             assert all(div >= 1.0 for div in divisors(trace))
 
     def test_penalization_never_increases_r(self):
@@ -228,7 +244,7 @@ class TestPenalties:
         path = boundary_crossing_path()
         engine.lifecycle_passed(path)
         before = {eid: engine.reputation(eid).r for eid in engine.known_entities()}
-        engine.lifecycle_failed(path)
+        engine.lifecycle_failed(path, path, "p")
         for eid, prev in before.items():
             assert engine.reputation(eid).r <= prev
 
@@ -238,11 +254,11 @@ class TestPenalties:
         engine = self.engine(decrease_rate=1.0)
         chiplet_path = [("cm1", "icm1", 100.0, "STD")]
         ic_path = [("icm1", "icd1", 200.0, "STD")]
-        engine.lifecycle_failed(ic_path, chiplet_path + ic_path)
+        engine.lifecycle_failed(ic_path, chiplet_path + ic_path, "p")
         assert engine.reputation("cm1").r_ideal == 0.0
         assert engine.reputation("icm1").r_ideal == 200.0
         # cm1 was still penalized (r stays 0 here, but it is in the trace).
-        trace = engine.lifecycle_failed(ic_path, chiplet_path + ic_path)
+        trace = engine.lifecycle_failed(ic_path, chiplet_path + ic_path, "p")
         assert sellers(trace)[0] == "cm1"
 
 
@@ -259,7 +275,7 @@ class TestNormalizedScore:
 
     def test_defect_free_entity_scores_exactly_one(self):
         entities, view = two_chain_entities()
-        engine = ReputationEngine(view, ReputationParams(), entities)
+        engine = engine_for(view, ReputationParams(), entities)
         for _ in range(10):
             engine.lifecycle_passed([("cm1", "cd1", 3.5, "STD")])
         assert engine.normalized("cm1") == 1.0
@@ -268,9 +284,7 @@ class TestNormalizedScore:
 class TestChainReputation:
     def setup_method(self):
         self.entities, self.view = two_chain_entities()
-        self.engine = ReputationEngine(
-            self.view, ReputationParams(decrease_rate=1.0), self.entities
-        )
+        self.engine = engine_for(self.view, ReputationParams(decrease_rate=1.0), self.entities)
 
     def test_passing_only_scores_one(self):
         self.engine.lifecycle_passed([(META_ID, "cd3", 10.0, "STD")])
@@ -281,7 +295,7 @@ class TestChainReputation:
     def test_defective_crossing_drops_below_one(self):
         path = [("cd1", META_ID, 10.0, "STD"), (META_ID, "cd3", 10.0, "STD")]
         self.engine.lifecycle_passed(path)
-        self.engine.lifecycle_failed(path)
+        self.engine.lifecycle_failed(path, path, "p")
         _, norm = self.engine.chain_reputation(META_ID)
         assert norm < 1.0
 
@@ -297,11 +311,11 @@ class TestObserverRelativity:
         view_tb = ObserverView(TB, frozenset({TB}))
         view_both = ObserverView(TB, frozenset({TB, UB}))
         path = boundary_crossing_path()
-        e1 = ReputationEngine(view_tb, params, entities)
-        e2 = ReputationEngine(view_both, params, entities)
+        e1 = engine_for(view_tb, params, entities)
+        e2 = engine_for(view_both, params, entities)
         for engine in (e1, e2):
             engine.lifecycle_passed(path)
-            engine.lifecycle_failed(path)
+            engine.lifecycle_failed(path, path, "p")
         # Trusting UB discounts the later untrusted-prefix sellers, so scores differ.
         assert e1.reputation("cd3").r != e2.reputation("cd3").r
 
@@ -342,7 +356,7 @@ class TestRandomizedInvariants:
                 decrease_rate=rng.uniform(1e-3, 4.0),
                 trusted_discount=rng.uniform(1.0, 4.0),
             )
-            engine = ReputationEngine(view, params, entities)
+            engine = engine_for(view, params, entities)
             for _ in range(40):
                 k = rng.randint(1, 4)
                 hops = rng.sample(sellers, k) + ["si1"]
@@ -352,7 +366,7 @@ class TestRandomizedInvariants:
                 ]
                 engine.lifecycle_passed(path)
                 if rng.random() < 0.4:
-                    engine.lifecycle_failed(path)
+                    engine.lifecycle_failed(path, path, "p")
             for eid in engine.known_entities():
                 rep = engine.reputation(eid)
                 assert 0.0 <= rep.r <= rep.r_ideal + 1e-12
