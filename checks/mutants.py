@@ -570,6 +570,38 @@ MUTANTS = [
         ((LEDGER, "        if top * self.exchange.rates[currency] > MAX_STANDARD_AMOUNT:\n",
           "        if False:\n"),),
     ),
+    Mutant(
+        "p95_one_sided_lerp",
+        "the aggregate's p95 lerps from the nearer neighbour, as np.percentile does",
+        ((HARNESS, "    out = b - diff * (1 - g) if g >= 0.5 else a + diff * g\n",
+          "    out = a + diff * g\n"),),
+    ),
+    Mutant(
+        "aggregate_via_np_percentile",
+        "aggregating a world never imports numpy.ma",
+        ((HARNESS, '"p95_r": _p95(r),', '"p95_r": np.percentile(r, 95, axis=1),'),
+         (HARNESS, '"p95_norm": _p95(norm),', '"p95_norm": np.percentile(norm, 95, axis=1),')),
+    ),
+    Mutant(
+        "samples_copied_at_end",
+        "replay holds each reputation sample once",
+        ((SIMULATOR, "sample_r=np.frombuffer(buf_r).reshape(shape),",
+          "sample_r=np.array(buf_r).reshape(shape),"),
+         (SIMULATOR, "sample_norm=np.frombuffer(buf_norm).reshape(shape),",
+          "sample_norm=np.array(buf_norm).reshape(shape),")),
+    ),
+    Mutant(
+        "penalty_checked_after_append",
+        "a refused penalty leaves no adjudicate record",
+        ((LEDGER,
+          "            engine.check_penalties([(hid, penalty_path) for hid, _, penalty_path in penalties])\n"
+          "        rec = (\"adjudicate\", ta, report_id, bad, tuple(sorted(origins.items())))\n"
+          "        self._log.append(rec)\n",
+          "        rec = (\"adjudicate\", ta, report_id, bad, tuple(sorted(origins.items())))\n"
+          "        self._log.append(rec)\n"
+          "        if engine is not None:\n"
+          "            engine.check_penalties([(hid, penalty_path) for hid, _, penalty_path in penalties])\n"),),
+    ),
 ]
 
 

@@ -53,6 +53,8 @@ and exchange table, so everything it reads was validated before the log grew.
 The ledger notifies it when a part's lifecycle completes: a passing report
 rewards every seller along the part's path, and a trusted-authority
 adjudication penalizes the sellers along the defective part's attribution path.
+A raw-form penalty can fail, so the ledger asks the engine to check an
+adjudication's penalties before it appends the record.
 """
 
 from __future__ import annotations
@@ -581,7 +583,8 @@ class Ledger:
         penalized along its own provenance path, unless ``defect_origins``
         traces the defect of a reported IC back to one of its consumed
         chiplets, in which case the joined chiplet-then-IC path is penalized.
-        An engine that refuses a raw-form penalty raises after the append.
+        An attached engine checks every penalty first (``check_penalties``),
+        so a refused one raises before the append and changes nothing.
         """
         ta_entity = self.entity(ta)
         if ta_entity.role is not Role.TRUSTED_AUTHORITY:
@@ -611,24 +614,26 @@ class Ledger:
             origin = self.part(chiplet_id)
             if origin.consumed_into != ic_id:
                 raise InvalidArgument(f"{chiplet_id!r} was not consumed into {ic_id!r}")
-        origin_pairs = tuple(sorted(origins.items()))
-        rec = ("adjudicate", ta, report_id, bad, origin_pairs)
-        self._log.append(rec)
-        self._marks.append(0)
-        self._adjudications[report_id] = rec
-        traces: list[PenaltyTrace] = []
         engine = self.engine
-        for hid in bad:
-            part = self._parts[hid]
-            part.status = PartStatus.DEFECTIVE
-            if engine is not None:
-                own_path = self._edges(part)
+        penalties: list[tuple[HashedDeviceId, list[Edge], list[Edge]]] = []  # part, own, penalty
+        if engine is not None:
+            for hid in bad:
+                own_path = penalty_path = self._edges(self._parts[hid])
                 origin_id = origins.get(hid)
                 if origin_id is not None:
                     penalty_path = self._edges(self._parts[origin_id]) + own_path
-                else:
-                    penalty_path = own_path
-                traces.append(engine.lifecycle_failed(own_path, penalty_path, part=hid))
+                penalties.append((hid, own_path, penalty_path))
+            engine.check_penalties([(hid, penalty_path) for hid, _, penalty_path in penalties])
+        rec = ("adjudicate", ta, report_id, bad, tuple(sorted(origins.items())))
+        self._log.append(rec)
+        self._marks.append(0)
+        self._adjudications[report_id] = rec
+        for hid in bad:
+            self._parts[hid].status = PartStatus.DEFECTIVE
+        traces = [
+            engine.lifecycle_failed(own_path, penalty_path, part=hid)
+            for hid, own_path, penalty_path in penalties
+        ]
         return AdjudicationResult(report_id, bad, traces)
 
     # -- queries ---------------------------------------------------------------

@@ -31,11 +31,13 @@ Two penalty forms are supported:
   raw   divisor = rate. Reproduces the literal divide-by-factor rule; only
         sensible for decrease rates above 1, and deep trusted paths can yield
         divisors below 1, or 0 when the rate underflows. A divisor that is not
-        a positive finite number is refused before any r or r_ideal changes.
+        a positive finite number, or one that would make an r infinite, is
+        refused before any r or r_ideal changes (``check_penalties``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -179,18 +181,40 @@ class ReputationEngine:
             rep.r += value
             rep.r_ideal += value
 
-    def lifecycle_failed(
-        self, own_path: Sequence[Edge], penalty_path: Sequence[Edge], part: str
-    ) -> PenaltyTrace:
-        """Penalize defective ``part``; return its trace.
+    def check_penalties(self, penalties: Sequence[tuple[str, Sequence[Edge]]]) -> None:
+        """Refuse, changing nothing, penalties that cannot all be applied in turn.
 
-        Sellers along ``penalty_path`` (the attribution path) have r divided
-        by their penalty divisor. Sellers along ``own_path`` additionally
-        accrue their foregone sale amount into r_ideal: the failed lifecycle
-        still completed.
+        ``penalties`` gives each defective part and its penalty path, in the
+        order ``lifecycle_failed`` applies them. An empty path raises
+        ``InvalidArgument``. Under the raw form the divisions are replayed in
+        order on copies of the r they reach, as a seller may repeat along a
+        path and parts may share sellers, and a divisor that is not a positive
+        finite number, or an r that would not be finite, raises
+        ``InvalidArgument`` naming the part and the seller. The rate form's
+        divisors are at least 1, so it refuses nothing else.
         """
-        if not penalty_path:
-            raise InvalidArgument("penalty path must be non-empty")
+        raw_form = self.params.penalty_form == "raw"
+        reps = self._rep
+        r: dict[EntityId, float] = {}
+        for part, penalty_path in penalties:
+            if not penalty_path:
+                raise InvalidArgument("penalty path must be non-empty")
+            if not raw_form:
+                continue
+            for seller, _rate, divisor in self._trace(part, penalty_path).entries:
+                value = r.get(seller, reps.get(seller, _ZERO_REP).r) / divisor
+                if not math.isfinite(value):
+                    raise InvalidArgument(
+                        f"part {part!r}: penalty divisor {divisor!r} of seller {seller!r}"
+                        f" would make its r {value!r}"
+                    )
+                r[seller] = value
+
+    def _trace(self, part: str, penalty_path: Sequence[Edge]) -> PenaltyTrace:
+        """Each seller's rate and divisor along ``penalty_path``, manufacturer first.
+
+        A divisor that is not a positive finite number raises ``InvalidArgument``.
+        """
         params, entities, trusted = self.params, self.entities, self.view.trusted_chains
         raw_form = params.penalty_form == "raw"
         trace = PenaltyTrace(part)
@@ -207,6 +231,21 @@ class ReputationEngine:
                     " is not a positive finite number"
                 )
             trace.entries.append((seller, rate, divisor))
+        return trace
+
+    def lifecycle_failed(
+        self, own_path: Sequence[Edge], penalty_path: Sequence[Edge], part: str
+    ) -> PenaltyTrace:
+        """Penalize defective ``part``; return its trace.
+
+        Sellers along ``penalty_path`` (the attribution path) have r divided
+        by their penalty divisor. Sellers along ``own_path`` additionally
+        accrue their foregone sale amount into r_ideal: the failed lifecycle
+        still completed. ``check_penalties`` refuses the part before anything
+        changes.
+        """
+        self.check_penalties(((part, penalty_path),))
+        trace = self._trace(part, penalty_path)
         to_standard = self.exchange.rate
         for seller, _buyer, amount, currency in own_path:
             self._get(seller).r_ideal += amount * to_standard(currency)

@@ -31,6 +31,7 @@ so a saved log replays without regeneration.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Generator, Iterable, Iterator, Mapping, Sequence
 
@@ -528,7 +529,9 @@ def replay(
     This is the one way a log becomes a ledger. With an engine attached and a
     nonzero ``sample_stride``, the engine is sampled each time the running
     count of confirm records hits a multiple of the stride (plus once at
-    stream end), for every non-meta entity known at the first sample. A stride
+    stream end), for every non-meta entity known at the first sample. Each
+    sample is held once: its rows extend one growing buffer per field, and
+    ``sample_r`` and ``sample_norm`` are matrix views of those buffers. A stride
     that is not an integer >= 0 raises ``InvalidConfig``. A ``ChipchainError``
     from a record names the record's 1-based position.
     """
@@ -543,8 +546,8 @@ def replay(
     traces: list[PenaltyTrace] = []
     columns: list[EntityId] = []
     indices: list[int] = []
-    rows_r: list[np.ndarray] = []
-    rows_norm: list[np.ndarray] = []
+    buf_r = array("d")
+    buf_norm = array("d")
 
     def snapshot() -> None:
         if not indices:
@@ -553,8 +556,8 @@ def replay(
             )
         indices.append(txn_count)
         row_r, row_norm = engine.sample(columns)
-        rows_r.append(np.array(row_r, dtype=np.float64))
-        rows_norm.append(np.array(row_norm, dtype=np.float64))
+        buf_r.extend(row_r)
+        buf_norm.extend(row_norm)
 
     apply = ledger.apply_record
     for position, rec in enumerate(records, start=1):
@@ -572,13 +575,13 @@ def replay(
     if sampling and (not indices or indices[-1] != txn_count):
         snapshot()
 
-    n_cols = len(columns)
+    shape = (len(indices), len(columns))
     return ReplayResult(
         ledger=ledger,
         txn_count=txn_count,
         sample_indices=np.asarray(indices, dtype=np.int64),
         sample_entities=columns,
-        sample_r=np.asarray(rows_r, dtype=np.float64).reshape(len(indices), n_cols),
-        sample_norm=np.asarray(rows_norm, dtype=np.float64).reshape(len(indices), n_cols),
+        sample_r=np.frombuffer(buf_r).reshape(shape),
+        sample_norm=np.frombuffer(buf_norm).reshape(shape),
         traces=traces,
     )

@@ -565,6 +565,23 @@ class TestViewFlags:
             " is not a positive finite number\n"
         ))
 
+    @pytest.mark.parametrize("command", TestMalformedLogs.COMMANDS)
+    def test_a_raw_penalty_that_overflows_r_is_refused(self, tmp_path, capsys, command):
+        # A positive subnormal rate: a meta-entity's divisor of 5e-321 would
+        # take its r to inf, which no score prints as JSON.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(GOLDEN_CONFIG))
+        run(["simulate", "--config", config, "--out", tmp_path / "run"])
+        capsys.readouterr()
+        log = tmp_path / "run" / "ledger.ndjson"
+        flags = ["--penalty-form", "raw", "--m", "1e-320"]
+        assert run(TestMalformedLogs.argv(command, log, tmp_path) + flags) == 1
+        part = "64b33ec9406a02db1a48835d7536c9d2a0c03fc2ce8e9f25b0a90a51783456fb"
+        assert capsys.readouterr() == ("", (
+            f"error: {log}: record 107: part '{part}': penalty divisor 5e-321 of seller"
+            " 'X^UC-1_TC-2' would make its r inf\n"
+        ))
+
     def test_registered_chains_are_accepted(self, tmp_path, config_file, capsys):
         out = tmp_path / "run"
         run(["simulate", "--config", config_file, "--out", out])

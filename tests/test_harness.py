@@ -1,6 +1,11 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from chipchain.harness import (
     BASIC_DEFECT_PROBS,
     BASIC_M_VALUES,
     _BLOCK,
+    _p95,
     _sample_positions,
     defect_mask,
     export_csv,
@@ -379,6 +385,53 @@ class TestRunEndToEnd:
             a.aggregate.groups[("UC-1", "CD")]["mean_norm"],
             b.aggregate.groups[("UC-1", "CD")]["mean_norm"],
         )
+
+
+def percentile_cases():
+    """Seeded random matrices, then edge cases: one column, one row, ties, ±inf, NaN."""
+    rng = np.random.default_rng(95)
+    for n in (2, 3, 7, 20, 21, 22, 41, 100, 1754):
+        yield f"normal_{n}", rng.normal(size=(5, n)) * 10.0 ** rng.integers(-3, 4, size=(5, 1))
+    yield "one_column", rng.normal(size=(4, 1))
+    yield "one_row", rng.normal(size=(1, 30))
+    yield "no_rows", np.empty((0, 9))
+    yield "repeated", rng.integers(0, 3, size=(6, 25)).astype(np.float64)
+    yield "signed_zeros", rng.choice([-0.0, 0.0], size=(6, 25))
+    yield "infinities", rng.choice([-np.inf, -1.0, 0.0, 2.5, np.inf], size=(8, 21))
+    with_nan = rng.normal(size=(6, 40))
+    with_nan[1, 3] = with_nan[4, 39] = np.nan
+    with_nan[4, 0] = -np.nan
+    yield "nan_in_some_rows", with_nan
+    yield "all_nan_one_column", np.array([[np.nan], [1.0], [-np.inf]])
+
+
+class TestP95:
+    """The aggregate's p95 is ``np.percentile(x, 95, axis=1)`` to the bit."""
+
+    @pytest.mark.parametrize("x", [pytest.param(x, id=name) for name, x in percentile_cases()])
+    def test_same_bytes_as_np_percentile(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf
+            want = np.percentile(x, 95, axis=1)
+            got = _p95(x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_an_end_to_end_run_never_imports_numpy_ma(self):
+        # numpy.ma costs about 1.1 MB a process; np.percentile imports it.
+        code = (
+            "import sys\n"
+            "from chipchain.harness import run_end_to_end\n"
+            "from chipchain.simulator import SimConfig\n"
+            "run_end_to_end(SimConfig(n_transactions=300), stride=50)\n"
+            "print('numpy' in sys.modules, 'numpy.ma' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "True False\n"), proc.stderr
 
 
 class TestOracle:

@@ -593,47 +593,78 @@ class TestTrustedCrossing:
 
 
 class TestRefusedPenalty:
-    """A raw divisor of 0.0 is refused before any reputation changes."""
+    """A refused penalty leaves no trace: no record, no defective part, no score change."""
 
-    PARAMS = ReputationParams(decrease_rate=2.0, trusted_discount=1e300, penalty_form="raw")
     VIEW = ObserverView("TB", frozenset({"TB"}))
+    #: params, the number of defective ICs, the refused part's index among
+    #: them (sorted), and the rest of the message.
+    CASES = {
+        # The third seller's rate, 2 / 1e300 / 1e300, underflows to 0.0.
+        "zero_divisor": (
+            ReputationParams(decrease_rate=2.0, trusted_discount=1e300, penalty_form="raw"),
+            1, 0, "penalty divisor 0.0 of seller 'icd2' is not a positive finite number",
+        ),
+        # A positive subnormal divisor takes icm1's r of 5.0 to inf.
+        "subnormal_divisor": (
+            ReputationParams(decrease_rate=1e-320, penalty_form="raw"),
+            1, 0, "penalty divisor 1e-320 of seller 'icm1' would make its r inf",
+        ),
+        # Each part alone leaves every r finite; icm1's second division, in
+        # the second part, overflows (5.0 / 1e-160 / 1e-160).
+        "shared_seller": (
+            ReputationParams(decrease_rate=1e-160, penalty_form="raw"),
+            2, 1, "penalty divisor 1e-160 of seller 'icm1' would make its r inf",
+        ),
+    }
 
-    def world(self, engine=None):
-        """Two ICs sold icm1 -> icd1 -> icd2 -> si1 on TB; one passes, one fails.
-
-        The third seller's rate, 2 / 1e300 / 1e300, underflows to 0.0.
-        """
+    def world(self, n_bad, engine=None):
+        """ICs sold icm1 -> icd1 -> icd2 -> si1 on TB; one passes, ``n_bad`` fail together."""
         ledger = small_world()
         if engine is not None:
             ledger.attach(engine)
         ledger.register_ic_type("icm1", "IC")
-        good, bad = hid("ic-good"), hid("ic-bad")
-        ledger.register_devices("icm1", "IC", [good, bad])
-        for ic in (good, bad):
+        good = hid("ic-good")
+        bad = sorted(hid(f"ic-bad-{k}") for k in range(n_bad))
+        ledger.register_devices("icm1", "IC", [good, *bad])
+        for ic in (good, *bad):
             ship(ledger, "icm1", "icd1", "IC", [ic], 5.0, kind="ic")
             ship(ledger, "icd1", "icd2", "IC", [ic], 6.0, kind="ic")
             ship(ledger, "icd2", "si1", "IC", [ic], 7.0, kind="ic")
         ledger.report("si1", [good], 0)
-        return ledger, ledger.report("si1", [bad], 1), bad
+        return ledger, ledger.report("si1", bad, 1), bad
 
-    def message(self, bad):
-        return f"part {bad!r}: penalty divisor 0.0 of seller 'icd2' is not a positive finite number"
+    @pytest.mark.parametrize("case", CASES)
+    def test_the_ledger_and_engine_are_unchanged(self, case):
+        params, n_bad, refused, message = self.CASES[case]
+        engine = ReputationEngine(self.VIEW, params)
+        ledger, rid, bad = self.world(n_bad, engine)
+        def state():
+            statuses = [ledger.part(b).status for b in bad]
+            return engine.score_rows(), ledger.log_length(), ledger.state_json(), statuses
 
-    def test_engine_scores_are_unchanged(self):
-        engine = ReputationEngine(self.VIEW, self.PARAMS)
-        ledger, rid, bad = self.world(engine)
-        before = engine.score_rows()
+        before = state()
         with pytest.raises(InvalidArgument) as exc:
-            ledger.adjudicate("ta-tb", rid, [bad])
-        assert str(exc.value) == self.message(bad)
-        assert engine.score_rows() == before
+            ledger.adjudicate("ta-tb", rid, bad)
+        assert str(exc.value) == f"part {bad[refused]!r}: {message}"
+        assert state() == before
+        assert PartStatus.DEFECTIVE not in before[3]
 
-    def test_oracle_refuses_the_same_divisor(self):
-        ledger, rid, bad = self.world()
-        ledger.adjudicate("ta-tb", rid, [bad])
+    def test_parts_that_share_a_seller_are_each_accepted_alone(self):
+        params, n_bad, *_ = self.CASES["shared_seller"]
+        for k in range(n_bad):
+            engine = ReputationEngine(self.VIEW, params)
+            ledger, rid, bad = self.world(n_bad, engine)
+            ledger.adjudicate("ta-tb", rid, [bad[k]])
+            assert all(math.isfinite(row[3]) for row in engine.score_rows())
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_oracle_refuses_the_same_penalty(self, case):
+        params, n_bad, refused, message = self.CASES[case]
+        ledger, rid, bad = self.world(n_bad)
+        ledger.adjudicate("ta-tb", rid, bad)
         with pytest.raises(InvalidArgument) as exc:
-            oracle_recompute(ledger.log_records(), self.PARAMS, self.VIEW, STANDARD_TABLE)
-        assert str(exc.value) == self.message(bad)
+            oracle_recompute(ledger.log_records(), params, self.VIEW, STANDARD_TABLE)
+        assert str(exc.value) == f"part {bad[refused]!r}: {message}"
 
 
 class TestJoinedAttribution:

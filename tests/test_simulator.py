@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
+import gc
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,6 +356,24 @@ class TestReplay:
         for samples in (result.sample_r, result.sample_norm):
             assert samples.dtype == np.float64
             assert samples.shape == (rows, len(result.sample_entities))
+
+    def test_samples_are_held_once(self):
+        # 100 samples of the default world's 1,754 columns, 1.4 MB a matrix.
+        # Rows kept beside the matrices they are copied into peak two
+        # matrices above what replay retains.
+        cfg = SimConfig(n_transactions=1_000)
+        topo = build_topology(cfg)
+        records = list(generate_stream(topo, cfg, assign_behaviors(topo)))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = replay(records, engine=make_engine(topo), sample_stride=10)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix = result.sample_r.nbytes
+        assert result.sample_r.shape == (100, 1_754)
+        assert peak - retained < matrix, f"peak {peak - retained} B above {retained} B retained"
 
     def test_samples_track_engine_values(self):
         topo = build_topology(SMALL)
